@@ -11,7 +11,7 @@
 //! repro batch               B1: batched engine sweep over P in {1,4,16,64,256}
 //! repro cluster             C1: multi-device scaling over D in {1,2,4,8} at P = 256
 //! repro session             S1: multi-system residency table and setup amortization
-//! repro solve               Solver: scheduler x backend table (paths/s, occupancy, escalation)
+//! repro solve               Solver: queue front x backend table (paths/s, occupancy, escalation)
 //! repro newton              N1: device-resident Newton — corrector mode table, flag-only D2H audit
 //! repro syshard             R1: system (row) sharding — over-budget build + D-sweep
 //! repro chaos               F1: fault injection — solves under device loss/corruption
@@ -205,7 +205,7 @@ fn solve(model_ok: &mut bool) {
     println!("{}", format_solve_sweep(&sweep));
     let checks = [
         (
-            "identity check (per-path and queue endpoints bit-identical across backends)",
+            "identity check (one-slot and auto queue endpoints bit-identical to track on every backend)",
             sweep.endpoints_identical,
         ),
         (
@@ -224,11 +224,11 @@ fn solve(model_ok: &mut bool) {
         println!("{}: {}", what, if ok { "PASS" } else { "FAIL" });
     }
     println!(
-        "model: one SolveRequest runs unchanged on every scheduler and backend;\n\
-         schedulers are performance choices (the lockstep front shares its step\n\
-         size, so only its cross-backend identity is asserted), SlotPolicy::Auto\n\
-         sizes the queue front to D x per-device capacity from EngineCaps, and\n\
-         escalation re-enters the same scheduler in double-double.\n"
+        "model: one SolveRequest runs unchanged on every queue front and backend;\n\
+         the slot count is a performance choice (every front replays the scalar\n\
+         tracker bit for bit), SlotPolicy::Auto sizes the front to D x per-device\n\
+         capacity from EngineCaps, and escalation re-enters the same queue in\n\
+         double-double.\n"
     );
 }
 
@@ -248,7 +248,7 @@ fn newton(model_ok: &mut bool) {
          vector (FLAG_BYTES per live point) instead of every value and\n\
          Jacobian. The arithmetic is the shared host driver's either way, so\n\
          endpoints stay bit-identical to CorrectorMode::Host on every\n\
-         scheduler and backend; the probe reconciles the engine's modeled\n\
+         queue front and backend; the probe reconciles the engine's modeled\n\
          D2H counter byte-for-byte against the driver's charge log.\n"
     );
 }

@@ -727,10 +727,18 @@ pub fn format_session(report: &SessionReport) -> String {
     s
 }
 
-/// One row of the solver sweep (scheduler × backend).
+/// The two queue fronts the solver tables compare: one path at a time,
+/// and the front sized to the engine (`devices × per-device capacity`).
+const QUEUE_FRONTS: [(polygpu_homotopy::queue::SlotPolicy, &str); 2] = [
+    (polygpu_homotopy::queue::SlotPolicy::Fixed(1), "1"),
+    (polygpu_homotopy::queue::SlotPolicy::Auto, "auto"),
+];
+
+/// One row of the solver sweep (queue front × backend).
 #[derive(Debug, Clone)]
 pub struct SolveRow {
-    pub scheduler: &'static str,
+    /// The queue's slot policy (`1` or `auto`).
+    pub slots: &'static str,
     pub backend: &'static str,
     pub devices: usize,
     pub paths: usize,
@@ -749,7 +757,8 @@ pub struct SolveRow {
 #[derive(Debug, Clone)]
 pub struct SolveSweep {
     pub rows: Vec<SolveRow>,
-    /// Per-path and queue endpoints bit-identical across every backend.
+    /// One-slot and auto-sized queue endpoints bit-identical to the
+    /// scalar `track` reference on every backend.
     pub endpoints_identical: bool,
     /// Queue occupancy of the `SlotPolicy::Auto` front on the D = 4
     /// cluster (the bar is > 0.8).
@@ -770,15 +779,17 @@ impl SolveSweep {
     }
 }
 
-/// The scheduler × backend table behind `repro solve`: one
-/// `SolveRequest` (36 total-degree paths of a dim-2 system) through
-/// every built-in scheduler on the CPU-reference, batched-GPU and
-/// 4-device-cluster backends, with modeled throughput, occupancy and
-/// escalation telemetry read straight off the `SolveReport`. Fully
-/// modeled, hence deterministic.
+/// The queue-front × backend table behind `repro solve`: one
+/// `SolveRequest` (36 total-degree paths of a dim-2 system) through a
+/// one-slot and an auto-sized queue front on the CPU-reference,
+/// batched-GPU and 4-device-cluster backends, with modeled throughput,
+/// occupancy and escalation telemetry read straight off the
+/// `SolveReport`, and every endpoint checked against direct `track`
+/// calls. Fully modeled, hence deterministic.
 pub fn solve_sweep() -> SolveSweep {
     use polygpu_cluster::Sharded;
     use polygpu_core::engine::EngineBuilder;
+    use polygpu_homotopy::homotopy::random_gamma;
     use polygpu_homotopy::prelude::*;
 
     let params = BenchmarkParams {
@@ -816,26 +827,30 @@ pub fn solve_sweep() -> SolveSweep {
                 .per_device_capacity(per_device),
         ),
     ];
-    let schedulers = [
-        SchedulerKind::PerPath,
-        SchedulerKind::Lockstep,
-        SchedulerKind::Queue {
-            slots: SlotPolicy::Auto,
-        },
-    ];
+    // The scalar reference: `track`, one path at a time, on a CPU
+    // homotopy with the request's gamma.
+    let reference: Vec<PathEndpoint> = req
+        .resolve_starts()
+        .expect("every start index is in range")
+        .iter()
+        .map(|x0| {
+            let f = AdEvaluator::new(sys.clone()).expect("uniform system");
+            let mut h = Homotopy::new(req.start.clone(), f, random_gamma(req.gamma_seed));
+            PathEndpoint::Double(track(&mut h, x0, req.params).end().x.clone())
+        })
+        .collect();
 
     let mut rows = Vec::new();
     let mut endpoints_identical = true;
     let mut queue_occupancy_d4 = 0.0;
-    let mut reference: Option<Vec<PathEndpoint>> = None;
     for (name, builder) in &backends {
-        for scheduler in schedulers {
+        for (slots, label) in QUEUE_FRONTS {
             let report = Solver::from_builder(builder.clone())
-                .solve(&req.clone().with_scheduler(scheduler))
+                .solve(&req.clone().with_scheduler(SchedulerKind::Queue { slots }))
                 .expect("sweep systems fit every backend");
             let wall = report.engine.wall_clock_seconds();
             rows.push(SolveRow {
-                scheduler: scheduler.name(),
+                slots: label,
                 backend: name,
                 devices: report.caps.devices,
                 paths: report.paths.len(),
@@ -845,19 +860,14 @@ pub fn solve_sweep() -> SolveSweep {
                 occupancy: report.occupancy(),
                 escalation_rate: report.escalation_rate(),
             });
-            // The cross-scheduler × cross-backend identity bar: the
-            // per-path and queue schedulers agree bit for bit
-            // everywhere (lockstep shares its front step size, so it
-            // is only checked against itself across backends).
-            if scheduler != SchedulerKind::Lockstep {
-                let endpoints: Vec<PathEndpoint> =
-                    report.paths.iter().map(|p| p.endpoint.clone()).collect();
-                match &reference {
-                    None => reference = Some(endpoints),
-                    Some(want) => endpoints_identical &= &endpoints == want,
-                }
-            }
-            if *name == "cluster" && scheduler == schedulers[2] {
+            // The identity bar: every front on every backend replays
+            // the scalar tracker bit for bit.
+            endpoints_identical &= report
+                .paths
+                .iter()
+                .map(|p| &p.endpoint)
+                .eq(reference.iter());
+            if *name == "cluster" && slots == SlotPolicy::Auto {
                 queue_occupancy_d4 = report.occupancy();
             }
         }
@@ -900,12 +910,14 @@ pub fn solve_sweep() -> SolveSweep {
 /// Render the solver sweep in markdown.
 pub fn format_solve_sweep(sweep: &SolveSweep) -> String {
     let mut s = String::new();
-    s.push_str("### Solver — one request, every scheduler x backend (36 paths, dim-2 system)\n\n");
     s.push_str(
-        "| scheduler | backend | D | paths ok | modeled wall | paths/s | occupancy | escalated |\n",
+        "### Solver — one request, every queue front x backend (36 paths, dim-2 system)\n\n",
     );
     s.push_str(
-        "|-----------|---------|--:|---------:|-------------:|--------:|----------:|----------:|\n",
+        "| slots | backend | D | paths ok | modeled wall | paths/s | occupancy | escalated |\n",
+    );
+    s.push_str(
+        "|------:|---------|--:|---------:|-------------:|--------:|----------:|----------:|\n",
     );
     for r in &sweep.rows {
         let wall = if r.wall_seconds > 0.0 {
@@ -920,7 +932,7 @@ pub fn format_solve_sweep(sweep: &SolveSweep) -> String {
         };
         s.push_str(&format!(
             "| {} | {} | {} | {}/{} | {} | {} | {:.2} | {:.0}% |\n",
-            r.scheduler,
+            r.slots,
             r.backend,
             r.devices,
             r.successes,
@@ -941,7 +953,8 @@ pub fn format_solve_sweep(sweep: &SolveSweep) -> String {
 /// One row of the corrector-mode sweep behind `repro newton`.
 #[derive(Debug, Clone)]
 pub struct NewtonRow {
-    pub scheduler: &'static str,
+    /// The queue's slot policy (`1` or `auto`).
+    pub slots: &'static str,
     pub backend: &'static str,
     pub mode: &'static str,
     pub successes: usize,
@@ -965,7 +978,7 @@ pub struct NewtonRow {
 pub struct NewtonSweep {
     pub rows: Vec<NewtonRow>,
     /// `DeviceResident` endpoints bit-identical to `Host` on every
-    /// scheduler × backend pair.
+    /// queue front × backend pair.
     pub endpoints_identical: bool,
     /// The resident solve downloads strictly fewer modeled bytes than
     /// the host-loop solve on every pair.
@@ -992,7 +1005,7 @@ impl NewtonSweep {
     pub fn checks(&self) -> [(&'static str, bool); 4] {
         [
             (
-                "identity check (DeviceResident endpoints bit-identical to Host, every scheduler x backend)",
+                "identity check (DeviceResident endpoints bit-identical to Host, every queue front x backend)",
                 self.endpoints_identical,
             ),
             (
@@ -1017,8 +1030,9 @@ impl NewtonSweep {
 }
 
 /// The corrector-mode table behind `repro newton`: the `solve_sweep`
-/// request (36 total-degree paths of a dim-2 system) through every
-/// scheduler on the batched-GPU and point-sharded-cluster backends,
+/// request (36 total-degree paths of a dim-2 system) through a
+/// one-slot and an auto-sized queue front on the batched-GPU and
+/// point-sharded-cluster backends,
 /// once with [`polygpu_core::CorrectorMode::Host`] and once with
 /// [`polygpu_core::CorrectorMode::DeviceResident`], plus a micro-audit
 /// of one fused
@@ -1066,29 +1080,25 @@ pub fn newton_sweep() -> NewtonSweep {
                 .per_device_capacity(per_device),
         ),
     ];
-    let schedulers = [
-        SchedulerKind::PerPath,
-        SchedulerKind::Lockstep,
-        SchedulerKind::Queue {
-            slots: SlotPolicy::Auto,
-        },
-    ];
-
     let mut rows = Vec::new();
     let mut endpoints_identical = true;
     let mut d2h_reduced = true;
     for (name, builder) in &backends {
-        for scheduler in schedulers {
+        for (slots, front) in QUEUE_FRONTS {
             let mut pair: Vec<(Vec<PathEndpoint>, u64)> = Vec::new();
             for (mode, label) in [
                 (CorrectorMode::Host, "host"),
                 (CorrectorMode::DeviceResident, "resident"),
             ] {
                 let report = Solver::from_builder(builder.clone())
-                    .solve(&req.clone().with_scheduler(scheduler).with_corrector(mode))
+                    .solve(
+                        &req.clone()
+                            .with_scheduler(SchedulerKind::Queue { slots })
+                            .with_corrector(mode),
+                    )
                     .expect("sweep systems fit every backend");
                 rows.push(NewtonRow {
-                    scheduler: scheduler.name(),
+                    slots: front,
                     backend: name,
                     mode: label,
                     successes: report.successes(),
@@ -1203,13 +1213,13 @@ pub fn newton_sweep() -> NewtonSweep {
 pub fn format_newton_sweep(sweep: &NewtonSweep) -> String {
     let mut s = String::new();
     s.push_str(
-        "### Device-resident Newton — corrector mode x scheduler x backend (36 paths, dim-2 system)\n\n",
+        "### Device-resident Newton — corrector mode x queue front x backend (36 paths, dim-2 system)\n\n",
     );
     s.push_str(
-        "| scheduler | backend | corrector | paths ok | modeled wall | H2D | D2H | fused iters | factor+backsub |\n",
+        "| slots | backend | corrector | paths ok | modeled wall | H2D | D2H | fused iters | factor+backsub |\n",
     );
     s.push_str(
-        "|-----------|---------|-----------|---------:|-------------:|----:|----:|------------:|---------------:|\n",
+        "|------:|---------|-----------|---------:|-------------:|----:|----:|------------:|---------------:|\n",
     );
     for r in &sweep.rows {
         let kernels = if r.factor_seconds > 0.0 {
@@ -1219,7 +1229,7 @@ pub fn format_newton_sweep(sweep: &NewtonSweep) -> String {
         };
         s.push_str(&format!(
             "| {} | {} | {} | {}/{} | {:.1} us | {} KiB | {} KiB | {} | {} |\n",
-            r.scheduler,
+            r.slots,
             r.backend,
             r.mode,
             r.successes,
@@ -2910,14 +2920,14 @@ mod tests {
         assert!(s.contains("per-stage amortization"));
     }
 
-    /// The `repro solve` acceptance: endpoints identical across
-    /// schedulers and backends, the auto-sized queue front > 0.8
+    /// The `repro solve` acceptance: every queue front on every backend
+    /// replays the `track` reference, the auto-sized queue front > 0.8
     /// occupied on the D = 4 cluster, and the escalation demo rescues
     /// its paths in double-double.
     #[test]
     fn solve_sweep_passes_its_gates() {
         let sweep = solve_sweep();
-        assert_eq!(sweep.rows.len(), 9, "3 schedulers x 3 backends");
+        assert_eq!(sweep.rows.len(), 6, "2 queue fronts x 3 backends");
         assert!(sweep.endpoints_identical, "{sweep:?}");
         assert!(
             sweep.queue_occupancy_d4 > 0.8,
@@ -2936,7 +2946,7 @@ mod tests {
             }
         }
         let s = format_solve_sweep(&sweep);
-        assert!(s.contains("| queue | cluster | 4 |"));
+        assert!(s.contains("| auto | cluster | 4 |"));
         assert!(s.contains("rescued in double-double"));
     }
 
@@ -2947,7 +2957,7 @@ mod tests {
     #[test]
     fn newton_sweep_passes_its_gates() {
         let sweep = newton_sweep();
-        assert_eq!(sweep.rows.len(), 12, "3 schedulers x 2 backends x 2 modes");
+        assert_eq!(sweep.rows.len(), 8, "2 queue fronts x 2 backends x 2 modes");
         assert!(sweep.endpoints_identical, "{sweep:?}");
         assert!(sweep.d2h_reduced, "{sweep:?}");
         assert!(sweep.expected_flag_bytes > 0);
@@ -2965,7 +2975,7 @@ mod tests {
             }
         }
         let s = format_newton_sweep(&sweep);
-        assert!(s.contains("| queue | cluster | resident |"));
+        assert!(s.contains("| auto | cluster | resident |"));
         assert!(s.contains("flag downloads"));
     }
 

@@ -7,7 +7,7 @@
 use polygpu_cluster::{ClusterOptions, ShardPolicy, ShardedBatchEvaluator};
 use polygpu_complex::C64;
 use polygpu_gpusim::prelude::DeviceSpec;
-use polygpu_homotopy::lockstep::BatchHomotopy;
+use polygpu_homotopy::homotopy::BatchHomotopy;
 use polygpu_homotopy::queue::track_queue;
 use polygpu_homotopy::start::StartSystem;
 use polygpu_homotopy::tracker::TrackParams;

@@ -1,7 +1,7 @@
 //! Fault-aware batched evaluation for the schedulers.
 //!
-//! The batched drivers ([`crate::queue::track_queue`],
-//! [`crate::lockstep::track_lockstep`]) were written against
+//! The batched drivers ([`crate::queue::track_queue`] and its
+//! device-resident twin) were written against
 //! [`BatchSystemEvaluator`], whose `evaluate_batch` cannot fail — an
 //! engine with fault injection armed
 //! ([`polygpu_core::engine::EngineBuilder::fault_plan`]) would have to
@@ -22,9 +22,9 @@
 //!
 //! The recovering drivers themselves live next to their infallible
 //! siblings: [`crate::queue::track_queue_recovering`] and
-//! [`crate::lockstep::track_lockstep_recovering`].
+//! [`crate::resident::track_queue_resident`].
 
-use crate::lockstep::{BatchHomotopy, BatchHomotopyAt};
+use crate::homotopy::{BatchHomotopy, BatchHomotopyAt};
 use crate::start::StartSystem;
 use polygpu_complex::{Complex, Real};
 use polygpu_core::engine::{AnyEvaluator, CpuReferenceEngine};

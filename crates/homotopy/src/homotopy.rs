@@ -4,13 +4,14 @@
 //! probability one the homotopy paths are free of singularities for
 //! `t ∈ [0, 1)` (the classical "gamma trick" of homotopy continuation).
 
+use crate::tracker::TrackOutcome;
 use polygpu_complex::{Complex, Real};
-use polygpu_polysys::{SystemEval, SystemEvaluator};
+use polygpu_polysys::{BatchSystemEvaluator, SystemEval, SystemEvaluator};
 
 /// The deterministic random gamma used by `with_random_gamma` (shared
-/// with the lockstep batch homotopy so the same seed describes the same
-/// paths): any angle bounded away from 0 mod tau works; derive one from
-/// the seed with a splitmix step.
+/// with [`BatchHomotopy`] so the same seed describes the same paths):
+/// any angle bounded away from 0 mod tau works; derive one from the
+/// seed with a splitmix step.
 pub fn random_gamma<R: Real>(seed: u64) -> Complex<R> {
     let z = seed
         .wrapping_mul(0x9E3779B97F4A7C15)
@@ -112,6 +113,170 @@ impl<'h, R: Real, EG: SystemEvaluator<R>, EF: SystemEvaluator<R>> SystemEvaluato
     }
 }
 
+/// A homotopy whose endpoints are batch evaluators, for the multi-path
+/// queue drivers ([`crate::queue`], [`crate::resident`]).
+pub struct BatchHomotopy<R: Real, EG, EF> {
+    /// Start system `G` (solutions known at `t = 0`).
+    pub g: EG,
+    /// Target system `F` (sought at `t = 1`).
+    pub f: EF,
+    /// The gamma constant.
+    pub gamma: Complex<R>,
+}
+
+impl<R: Real, EG: BatchSystemEvaluator<R>, EF: BatchSystemEvaluator<R>> BatchHomotopy<R, EG, EF> {
+    pub fn new(g: EG, f: EF, gamma: Complex<R>) -> Self {
+        assert_eq!(
+            g.dim(),
+            f.dim(),
+            "homotopy endpoints must agree in dimension"
+        );
+        BatchHomotopy { g, f, gamma }
+    }
+
+    /// Gamma from an angle seed; the same seed yields the same paths as
+    /// [`Homotopy::with_random_gamma`].
+    pub fn with_random_gamma(g: EG, f: EF, seed: u64) -> Self {
+        Self::new(g, f, random_gamma(seed))
+    }
+
+    pub fn dim(&self) -> usize {
+        self.g.dim()
+    }
+
+    /// Largest batch the underlying evaluators accept together.
+    pub fn max_batch(&self) -> usize {
+        self.g.max_batch().min(self.f.max_batch())
+    }
+
+    /// `H(·, t)` values and Jacobians at every point, plus `∂H/∂t`,
+    /// from **one** batched evaluation of `G` and one of `F`. The
+    /// per-point combination arithmetic is identical to
+    /// [`Homotopy::eval_at`].
+    pub fn eval_batch_at(
+        &mut self,
+        points: &[Vec<Complex<R>>],
+        t: R,
+    ) -> Vec<(SystemEval<R>, Vec<Complex<R>>)> {
+        self.eval_batch_at_each(points, &vec![t; points.len()])
+    }
+
+    /// Like [`BatchHomotopy::eval_batch_at`], but with a **per-point**
+    /// `t` — the evaluation the path-queue scheduler needs, where every
+    /// slot tracks its own front position. The device part (`G` and `F`
+    /// evaluations) is `t`-independent, so mixed-`t` batches still cost
+    /// one batched round trip per endpoint; only the host-side
+    /// combination differs per point, with arithmetic identical to
+    /// [`Homotopy::eval_at`] at that point's `t`.
+    pub fn eval_batch_at_each(
+        &mut self,
+        points: &[Vec<Complex<R>>],
+        ts: &[R],
+    ) -> Vec<(SystemEval<R>, Vec<Complex<R>>)> {
+        assert_eq!(points.len(), ts.len(), "one t per point");
+        let ges = self.g.evaluate_batch(points);
+        let fes = self.f.evaluate_batch(points);
+        self.combine(ges, fes, ts)
+    }
+
+    /// The per-point combination of endpoint evaluations into
+    /// `H(·, t)` values, Jacobians and `∂H/∂t` — shared by the
+    /// infallible and fallible evaluation paths so they are identical
+    /// arithmetic by construction.
+    pub(crate) fn combine(
+        &self,
+        ges: Vec<SystemEval<R>>,
+        fes: Vec<SystemEval<R>>,
+        ts: &[R],
+    ) -> Vec<(SystemEval<R>, Vec<Complex<R>>)> {
+        let n = self.dim();
+        ges.into_iter()
+            .zip(fes)
+            .zip(ts)
+            .map(|((ge, fe), &t)| {
+                let one_minus_t = R::one() - t;
+                let gscale = self.gamma.scale(one_minus_t);
+                let mut values = Vec::with_capacity(n);
+                let mut dt = Vec::with_capacity(n);
+                for i in 0..n {
+                    values.push(gscale * ge.values[i] + fe.values[i].scale(t));
+                    dt.push(fe.values[i] - self.gamma * ge.values[i]);
+                }
+                let mut jacobian = fe.jacobian;
+                for i in 0..n {
+                    for j in 0..n {
+                        jacobian[(i, j)] = gscale * ge.jacobian[(i, j)] + jacobian[(i, j)].scale(t);
+                    }
+                }
+                (SystemEval { values, jacobian }, dt)
+            })
+            .collect()
+    }
+
+    /// View the homotopy at fixed `t` as a batch evaluator.
+    pub fn at(&mut self, t: R) -> BatchHomotopyAt<'_, R, EG, EF> {
+        BatchHomotopyAt { h: self, t }
+    }
+}
+
+/// [`BatchSystemEvaluator`] adapter for `H(·, t)` at fixed `t`.
+pub struct BatchHomotopyAt<'h, R: Real, EG, EF> {
+    pub(crate) h: &'h mut BatchHomotopy<R, EG, EF>,
+    pub(crate) t: R,
+}
+
+impl<'h, R: Real, EG: BatchSystemEvaluator<R>, EF: BatchSystemEvaluator<R>> SystemEvaluator<R>
+    for BatchHomotopyAt<'h, R, EG, EF>
+{
+    fn dim(&self) -> usize {
+        self.h.dim()
+    }
+
+    fn evaluate(&mut self, x: &[Complex<R>]) -> SystemEval<R> {
+        self.h
+            .eval_batch_at(std::slice::from_ref(&x.to_vec()), self.t)
+            .pop()
+            .expect("batch of one returns one result")
+            .0
+    }
+
+    fn name(&self) -> &str {
+        "batch-homotopy-at-t"
+    }
+}
+
+impl<'h, R: Real, EG: BatchSystemEvaluator<R>, EF: BatchSystemEvaluator<R>> BatchSystemEvaluator<R>
+    for BatchHomotopyAt<'h, R, EG, EF>
+{
+    fn max_batch(&self) -> usize {
+        self.h.max_batch()
+    }
+
+    fn evaluate_batch(&mut self, points: &[Vec<Complex<R>>]) -> Vec<SystemEval<R>> {
+        self.h
+            .eval_batch_at(points, self.t)
+            .into_iter()
+            .map(|(eval, _)| eval)
+            .collect()
+    }
+}
+
+/// Endpoint of one path tracked by a multi-path driver.
+#[derive(Debug, Clone)]
+pub struct PathEnd<R> {
+    pub outcome: TrackOutcome,
+    /// Last accepted point.
+    pub x: Vec<Complex<R>>,
+    /// `t` of the last accepted point (1.0 on success).
+    pub t: f64,
+}
+
+impl<R> PathEnd<R> {
+    pub fn success(&self) -> bool {
+        self.outcome == TrackOutcome::Success
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,5 +373,34 @@ mod tests {
         let g = StartSystem::uniform(2, 2);
         let f = target(); // dim 3
         let _ = Homotopy::new(g, f, C64::one());
+    }
+
+    #[test]
+    fn batch_homotopy_matches_single_homotopy_pointwise() {
+        let params = BenchmarkParams {
+            n: 3,
+            m: 2,
+            k: 2,
+            d: 2,
+            seed: 19,
+        };
+        let sys = random_system::<f64>(&params);
+        let start = StartSystem::uniform(3, 3);
+        let points = polygpu_polysys::random_points::<f64>(3, 4, 9);
+        let mut hb = BatchHomotopy::with_random_gamma(
+            start.clone(),
+            AdEvaluator::new(sys.clone()).unwrap(),
+            42,
+        );
+        let mut h1 = Homotopy::with_random_gamma(start, AdEvaluator::new(sys).unwrap(), 42);
+        assert_eq!(hb.gamma, h1.gamma, "same seed, same gamma, same paths");
+        let t = 0.37;
+        let batch = hb.eval_batch_at(&points, t);
+        for (x, (got, got_dt)) in points.iter().zip(batch) {
+            let want = h1.eval_at(x, t);
+            assert_eq!(got.values, want.eval.values);
+            assert_eq!(got.jacobian.as_slice(), want.eval.jacobian.as_slice());
+            assert_eq!(got_dt, want.dt);
+        }
     }
 }

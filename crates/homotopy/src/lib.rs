@@ -10,15 +10,17 @@
 //! GPU pipeline of `polygpu-core`.
 //!
 //! The one entry point is [`solve::Solver::solve`]: a
-//! [`solve::SolveRequest`] picks the scheduler
-//! (per-path / lockstep / queue) and the precision policy (fixed or
-//! escalate-on-failure), the [`solve::Solver`] owns an engine spec and
-//! provisions backends per precision, and every combination returns
-//! the same [`solve::SolveReport`] shape. The underlying drivers
-//! (`newton`, `track`, `track_lockstep`, `track_queue`) remain public
-//! — `solve()` replays them bit for bit — and all accept the unified
-//! engine surface as a trait object (`&mut dyn AnyEvaluator<R>` or
-//! `Box<dyn AnyEvaluator<R>>` from
+//! [`solve::SolveRequest`] picks the queue's slot policy, the corrector
+//! mode and the precision policy (fixed or escalate-on-failure), the
+//! [`solve::Solver`] owns an engine spec and provisions backends per
+//! precision, and every combination returns the same
+//! [`solve::SolveReport`] shape. Every pass — and every job of the
+//! serve layer — runs [`queue::track_front`], the one multi-path
+//! driver: a refilling slot front whose corrector runs on the host or
+//! fused on the engine. The scalar drivers (`newton`, `track`) remain
+//! public as the bit-exact reference the queue replays, and all
+//! drivers accept the unified engine surface as a trait object
+//! (`&mut dyn AnyEvaluator<R>` or `Box<dyn AnyEvaluator<R>>` from
 //! `polygpu_core::engine::Engine::builder()`).
 //!
 //! ```
@@ -39,7 +41,6 @@
 pub mod escalate;
 pub mod fallible;
 pub mod homotopy;
-pub mod lockstep;
 pub mod lu;
 pub mod newton;
 pub mod quality;
@@ -56,23 +57,22 @@ pub mod prelude {
         track_escalating, track_escalating_engine, EscalatedTrack, UsedPrecision,
     };
     pub use crate::fallible::{FaultReport, TryBatchEvaluator};
-    pub use crate::homotopy::{Homotopy, HomotopyAt, HomotopyEval};
-    pub use crate::lockstep::{
-        newton_batch, newton_batch_counted, newton_batch_recovering, track_lockstep,
-        track_lockstep_recovering, BatchHomotopy, BatchHomotopyAt, LockstepPath, LockstepResult,
+    pub use crate::homotopy::{
+        BatchHomotopy, BatchHomotopyAt, Homotopy, HomotopyAt, HomotopyEval, PathEnd,
     };
     pub use crate::lu::{lu_decompose, solve, LuError, LuFactors, SingularMatrix};
     pub use crate::newton::{newton, NewtonParams, NewtonResult, ShiftedEvaluator, StopReason};
     pub use crate::quality::{quality_up_ladder, Precision, QualityUp};
     pub use crate::queue::{
-        track_queue, track_queue_recovering, PathQueue, QueueResult, QueueStats, SlotPolicy,
+        track_front, track_queue, track_queue_recovering, PathQueue, QueueResult, QueueStats,
+        SlotPolicy,
     };
     pub use crate::resident::{
-        correct_resident, track_queue_resident, track_resident, HomotopyCombine, ResidentEngine,
+        correct_resident, track_queue_resident, HomotopyCombine, ResidentEngine,
     };
     pub use crate::solve::{
-        PathEndpoint, PathReport, PrecisionPolicy, Scheduler, SchedulerKind, SchedulerRun,
-        SolveError, SolveReport, SolveRequest, Solver, StartGroup, StartKind, StartSelection,
+        PathEndpoint, PathReport, PrecisionPolicy, SchedulerKind, SolveError, SolveReport,
+        SolveRequest, Solver, StartGroup, StartKind, StartSelection,
     };
     pub use crate::solver::{solve_total_degree, Root, SolveParams, SolveResult};
     pub use crate::start::{AnyStart, StartSystem};

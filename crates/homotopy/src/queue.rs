@@ -1,15 +1,12 @@
-//! Path-queue scheduling: full-occupancy multi-path tracking.
+//! Path-queue scheduling: the one multi-path driver.
 //!
-//! [`crate::lockstep::track_lockstep`] drives a *shrinking front*: all
-//! paths share one `t` and one step size, and every retired path leaves
-//! its batch slot empty for the rest of the run — on a 10k-path run the
-//! batch (and with it every device shard) drains toward idle. This
-//! module replaces the front with a **queue**: a fixed number of slots
-//! (sized to the evaluator's batch capacity) each track one path with
-//! its *own* `t` and adaptive step size; whenever a slot finishes —
-//! success or failure — it immediately **refills** from the pending
-//! queue, so every batched round trip stays at full occupancy until the
-//! queue drains.
+//! A fixed number of slots (sized to the evaluator's batch capacity)
+//! each track one path with its *own* `t` and adaptive step size;
+//! whenever a slot finishes — success or failure — it immediately
+//! **refills** from the pending queue, so every batched round trip
+//! stays at full occupancy until the queue drains. (A front sharing one
+//! `t` would leave every retired path's slot empty for the rest of the
+//! run, draining the batch — and every device shard — toward idle.)
 //!
 //! Scheduling is a performance transformation only: each slot replays
 //! the *exact* control flow and arithmetic of the single-path tracker
@@ -18,13 +15,19 @@
 //! trajectory — and endpoint — is **bit-for-bit** the trajectory the
 //! single-path tracker produces, independent of the slot count, the
 //! batch composition, or how many devices the evaluator shards over.
+//!
+//! [`track_front`] is the entry point `Solver::solve` and the serve
+//! layer share: it sizes the front from the engine's capabilities and
+//! runs either the host-corrector queue defined here or its
+//! device-resident twin ([`track_queue_resident`]).
 
 use crate::fallible::{retry_round, FaultReport, Infallible, TryBatchEvaluator};
-use crate::lockstep::{BatchHomotopy, LockstepPath};
+use crate::homotopy::{BatchHomotopy, PathEnd};
 use crate::lu::lu_decompose;
+use crate::resident::{track_queue_resident, ResidentEngine};
 use crate::tracker::{TrackOutcome, TrackParams};
 use polygpu_complex::{Complex, Real};
-use polygpu_core::{BatchError, RecoveryPolicy};
+use polygpu_core::{BatchError, CorrectorMode, RecoveryPolicy};
 use polygpu_obs::{MetaValue, MetricsRegistry, SpanKind, TraceSink};
 use polygpu_polysys::{BatchSystemEvaluator, SystemEval};
 use std::collections::VecDeque;
@@ -62,11 +65,11 @@ impl<R: Real> PathQueue<R> {
     }
 }
 
-/// How a multi-path scheduler sizes its slot front.
+/// How the queue sizes its slot front.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SlotPolicy {
-    /// Size the front to the whole fleet. Schedulers with engine
-    /// capabilities at hand (the `solve` layer) resolve this to
+    /// Size the front to the whole fleet. [`track_front`], which has
+    /// the engine's capabilities at hand, resolves this to
     /// `devices × per-device capacity`, clamped to the engine's batch
     /// capacity (which a row-sharded cluster caps at one device's
     /// worth — every device there sees every point), via
@@ -105,9 +108,8 @@ impl SlotPolicy {
     }
 }
 
-/// Aggregate scheduling statistics of a multi-path run — shared by
-/// every scheduler behind `solve()` (the queue fills all of it; the
-/// per-path and lockstep schedulers report the fields that apply).
+/// Aggregate scheduling statistics of a multi-path run — the
+/// scheduler section of every `SolveReport`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Scheduler rounds (one batched evaluation of all occupied slots
@@ -132,8 +134,8 @@ pub struct QueueStats {
 
 impl QueueStats {
     /// Mean slot occupancy over the run: `1.0` means every round ran a
-    /// full batch. The shrinking-front tracker degrades toward `1/slots`
-    /// as paths retire; the queue stays near `1.0` until it drains.
+    /// full batch. The queue stays near `1.0` until it drains; only the
+    /// drain tail runs part-empty.
     pub fn occupancy(&self) -> f64 {
         if self.rounds == 0 || self.slots == 0 {
             0.0
@@ -184,7 +186,7 @@ impl fmt::Display for QueueStats {
 #[derive(Debug, Clone)]
 pub struct QueueResult<R> {
     /// Per-path endpoints, in start order.
-    pub paths: Vec<LockstepPath<R>>,
+    pub paths: Vec<PathEnd<R>>,
     /// Aggregate scheduling statistics.
     pub stats: QueueStats,
 }
@@ -351,7 +353,7 @@ where
     let mut front: Vec<Option<Slot<R>>> = (0..slots)
         .map(|_| queue.pop().map(|(i, x0)| Slot::start(i, x0, &params)))
         .collect();
-    let mut results: Vec<Option<LockstepPath<R>>> = (0..n_paths).map(|_| None).collect();
+    let mut results: Vec<Option<PathEnd<R>>> = (0..n_paths).map(|_| None).collect();
 
     let mut rounds = 0usize;
     let mut batch_rounds = 0usize;
@@ -554,7 +556,7 @@ where
         // Record finished paths and refill their slots immediately, so
         // the next round runs at full occupancy again.
         for f in finished {
-            results[f.path] = Some(LockstepPath {
+            results[f.path] = Some(PathEnd {
                 outcome: f.outcome,
                 x: f.x,
                 t: f.t,
@@ -589,6 +591,45 @@ where
         },
         fault,
     ))
+}
+
+/// The multi-path driver behind `Solver::solve` and the serve layer:
+/// resolve `slots` against the engine's
+/// [`auto_slots`](polygpu_core::engine::EngineCaps::auto_slots)
+/// (devices × per-device capacity, clamped to the batch capacity), then
+/// run the refilling queue with the corrector `params.corrector_mode`
+/// selects — the host loop ([`track_queue_recovering_traced`]) or the
+/// engine's fused corrector ([`track_queue_resident`]). Endpoints are
+/// bit-identical to [`crate::tracker::track`] either way; only the
+/// round structure and the modeled transfer traffic differ. A fault
+/// that outlives `recovery` comes back as a typed [`BatchError`].
+pub fn track_front<R, EG, EF>(
+    h: &mut BatchHomotopy<R, EG, EF>,
+    starts: &[Vec<Complex<R>>],
+    params: TrackParams,
+    slots: SlotPolicy,
+    recovery: &RecoveryPolicy,
+    trace: &TraceSink,
+) -> Result<(QueueResult<R>, FaultReport), BatchError>
+where
+    R: Real,
+    EG: TryBatchEvaluator<R>,
+    EF: ResidentEngine<R>,
+{
+    let slots = slots.resolve(h.f.engine_caps().auto_slots(), starts.len());
+    match params.corrector_mode {
+        CorrectorMode::Host => track_queue_recovering_traced(
+            h,
+            starts,
+            params,
+            SlotPolicy::Fixed(slots),
+            recovery,
+            trace,
+        ),
+        CorrectorMode::DeviceResident => {
+            track_queue_resident(h, starts, params, slots, recovery, trace)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -655,6 +696,17 @@ mod tests {
             assert_eq!(r.stats.steps_accepted, sum_acc, "slots {slots}");
             assert_eq!(r.stats.steps_rejected, sum_rej, "slots {slots}");
             assert_eq!(r.stats.corrector_iterations, sum_corr, "slots {slots}");
+            // `point_rounds` counts the single-point evaluations the
+            // per-path tracker would issue; any front wider than one
+            // slot amortizes them over fewer device round trips.
+            if slots > 1 {
+                assert!(
+                    r.stats.batch_rounds < r.stats.point_rounds,
+                    "slots {slots}: {} round trips for {} evaluations",
+                    r.stats.batch_rounds,
+                    r.stats.point_rounds
+                );
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Device-resident corrector drivers: the Newton loop without the
 //! per-iteration round trip.
 //!
-//! The host-mode schedulers download every corrector iteration's
+//! The host-mode queue downloads every corrector iteration's
 //! values and Jacobians, solve on the host, and upload the updated
 //! iterates — O(P·n²) modeled traffic per iteration. The drivers here
 //! instead hand the whole corrector to the engine's fused
@@ -13,24 +13,21 @@
 //! into the fused loop through a [`HomotopyCombine`]: the engine
 //! evaluates the target `F` (the expensive, modeled part), and the
 //! analytic start system `G` is combined in with arithmetic identical
-//! to [`BatchHomotopy::eval_batch_at`](crate::lockstep::BatchHomotopy) —
-//! so endpoints are **bit-identical** to the host-mode corrector; only
-//! the modeled transfer traffic differs.
+//! to [`BatchHomotopy::eval_batch_at`] — so endpoints are
+//! **bit-identical** to the host-mode corrector; only the modeled
+//! transfer traffic differs.
 
 use crate::fallible::{retry_round, FaultReport, TryBatchEvaluator};
+use crate::homotopy::{BatchHomotopy, PathEnd};
 use crate::lu::lu_decompose;
-use crate::newton::{NewtonParams, NewtonResult, StopReason};
+use crate::newton::NewtonParams;
 use crate::queue::{PathQueue, QueueResult, QueueStats};
-use crate::tracker::{PathPoint, TrackOutcome, TrackParams, TrackResult};
+use crate::tracker::{TrackOutcome, TrackParams};
 use polygpu_complex::{Complex, Real};
 use polygpu_core::engine::{AnyEvaluator, EngineCaps};
-use polygpu_core::{
-    BatchError, CombineMap, CorrectParams, CorrectStatus, CorrectStop, RecoveryPolicy,
-};
+use polygpu_core::{BatchError, CombineMap, CorrectParams, CorrectStatus, RecoveryPolicy};
 use polygpu_obs::{MetaValue, SpanKind, TraceSink};
 use polygpu_polysys::{SystemEval, SystemEvaluator};
-
-use crate::lockstep::{BatchHomotopy, LockstepPath};
 
 /// The engine surface the resident drivers need beyond batched
 /// evaluation: capability introspection and the fused corrector. Both
@@ -81,7 +78,7 @@ impl<R: Real> ResidentEngine<R> for &mut dyn AnyEvaluator<R> {
 /// the engine evaluates `F` resident; this map turns each raw
 /// `F`-evaluation into the homotopy evaluation `H(·, t)` at that
 /// point's `t`, with per-element arithmetic identical to
-/// [`BatchHomotopy::combine`](crate::lockstep::BatchHomotopy) — the
+/// [`BatchHomotopy::eval_batch_at_each`] — the
 /// basis of the host/device bit-identity contract.
 pub struct HomotopyCombine<'a, R: Real, G: SystemEvaluator<R>> {
     /// The start system `G`, evaluated analytically on the host (free
@@ -118,24 +115,6 @@ pub fn correct_params(p: &NewtonParams) -> CorrectParams {
         step_tol: p.step_tol,
         step_tol_relax: p.step_tol_relax,
         max_iters: p.max_iters,
-    }
-}
-
-/// A fused-corrector verdict in the host corrector's result shape
-/// (`x` is the committed iterate the engine handed back).
-pub fn status_to_newton<R: Real>(x: Vec<Complex<R>>, s: CorrectStatus) -> NewtonResult<R> {
-    NewtonResult {
-        x,
-        converged: s.converged,
-        iterations: s.iterations,
-        residuals: s.residuals,
-        last_step: s.last_step,
-        stop: match s.stop {
-            CorrectStop::ResidualTol => StopReason::ResidualTol,
-            CorrectStop::StepTol => StopReason::StepTol,
-            CorrectStop::MaxIters => StopReason::MaxIters,
-            CorrectStop::Singular => StopReason::SingularJacobian,
-        },
     }
 }
 
@@ -185,136 +164,8 @@ where
     Ok(out)
 }
 
-/// [`crate::tracker::track`] with the corrector fused on the engine:
-/// the predictor is the usual host-side Euler solve (one batched
-/// evaluation of one point), the corrector one fused
-/// [`correct_resident`] call per attempt. Control flow and arithmetic
-/// replicate `track` exactly, so the endpoint is bit-identical to the
-/// host tracker's; only the modeled transfer traffic differs.
-pub fn track_resident<R, EG, EF>(
-    h: &mut BatchHomotopy<R, EG, EF>,
-    x0: &[Complex<R>],
-    params: &TrackParams,
-    batch_rounds: &mut usize,
-    recovery: &RecoveryPolicy,
-    fault: &mut FaultReport,
-) -> Result<TrackResult<R>, BatchError>
-where
-    R: Real,
-    EG: TryBatchEvaluator<R> + SystemEvaluator<R>,
-    EF: ResidentEngine<R>,
-{
-    let mut points = vec![PathPoint {
-        t: 0.0,
-        x: x0.to_vec(),
-    }];
-    let mut x = x0.to_vec();
-    let mut t = 0.0f64;
-    let mut dt = params.initial_dt;
-    let mut accepted = 0usize;
-    let mut rejected = 0usize;
-    let mut corrector_iters = 0usize;
-
-    let done = |outcome, points, accepted, rejected, corrector_iters| TrackResult {
-        outcome,
-        points,
-        steps_accepted: accepted,
-        steps_rejected: rejected,
-        corrector_iterations: corrector_iters,
-    };
-
-    for _ in 0..params.max_steps {
-        if t >= 1.0 {
-            return Ok(done(
-                TrackOutcome::Success,
-                points,
-                accepted,
-                rejected,
-                corrector_iters,
-            ));
-        }
-        let dt_clamped = dt.min(1.0 - t);
-        // Euler predictor: J_H dx = -dH/dt, x_pred = x + dx * dt.
-        let (eval, dt_vec) = {
-            let xs = std::slice::from_ref(&x);
-            retry_round(recovery, fault, || {
-                *batch_rounds += 1;
-                h.try_eval_batch_at(xs, R::from_f64(t))
-            })?
-            .pop()
-            .expect("batch of one returns one result")
-        };
-        let rhs: Vec<Complex<R>> = dt_vec.iter().map(|v| -*v).collect();
-        let dxdt = match lu_decompose(eval.jacobian).and_then(|lu| lu.solve(&rhs)) {
-            Ok(d) => d,
-            Err(_) => {
-                return Ok(done(
-                    TrackOutcome::SingularJacobian {
-                        at_t: format!("{t:.6}"),
-                    },
-                    points,
-                    accepted,
-                    rejected,
-                    corrector_iters,
-                ))
-            }
-        };
-        let x_pred: Vec<Complex<R>> = x
-            .iter()
-            .zip(&dxdt)
-            .map(|(xi, di)| *xi + di.scale(R::from_f64(dt_clamped)))
-            .collect();
-        // Fused Newton corrector at t + dt.
-        let t_new = t + dt_clamped;
-        let mut pred = [x_pred];
-        let status = correct_resident(
-            h,
-            &mut pred,
-            &[R::from_f64(t_new)],
-            &params.corrector,
-            batch_rounds,
-            recovery,
-            fault,
-        )?
-        .pop()
-        .expect("batch of one returns one status");
-        let [corrected] = pred;
-        corrector_iters += status.iterations;
-        if status.converged {
-            x = corrected;
-            t = t_new;
-            points.push(PathPoint { t, x: x.clone() });
-            accepted += 1;
-            if status.iterations <= params.easy_iters {
-                dt = (dt * params.grow).min(params.max_dt);
-            }
-        } else {
-            rejected += 1;
-            dt *= 0.5;
-            if dt < params.min_dt {
-                return Ok(done(
-                    TrackOutcome::StepUnderflow {
-                        at_t: format!("{t:.6}"),
-                    },
-                    points,
-                    accepted,
-                    rejected,
-                    corrector_iters,
-                ));
-            }
-        }
-    }
-    Ok(done(
-        TrackOutcome::StepLimit,
-        points,
-        accepted,
-        rejected,
-        corrector_iters,
-    ))
-}
-
 /// One queue slot of [`track_queue_resident`]: a path with its own `t`
-/// and adaptive step size, exactly the per-path tracker's state.
+/// and adaptive step size, exactly the single-path tracker's state.
 struct ResidentSlot<R> {
     path: usize,
     x: Vec<Complex<R>>,
@@ -360,7 +211,7 @@ where
             })
         })
         .collect();
-    let mut results: Vec<Option<LockstepPath<R>>> = (0..n_paths).map(|_| None).collect();
+    let mut results: Vec<Option<PathEnd<R>>> = (0..n_paths).map(|_| None).collect();
 
     let mut rounds = 0usize;
     let mut batch_rounds = 0usize;
@@ -426,7 +277,7 @@ where
                     dts_clamped.push(dt_clamped);
                 }
                 Err(_) => {
-                    results[slot.path] = Some(LockstepPath {
+                    results[slot.path] = Some(PathEnd {
                         outcome: TrackOutcome::SingularJacobian {
                             at_t: format!("{:.6}", slot.t),
                         },
@@ -515,7 +366,7 @@ where
                 None
             };
             if let Some(outcome) = outcome {
-                results[slot.path] = Some(LockstepPath {
+                results[slot.path] = Some(PathEnd {
                     outcome,
                     x: std::mem::take(&mut slot.x),
                     t: slot.t,

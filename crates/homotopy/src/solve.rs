@@ -1,34 +1,33 @@
-//! One `solve()` entry point over every homotopy driver.
+//! One `solve()` entry point over the homotopy drivers.
 //!
 //! The drivers grew one at a time — [`crate::tracker::track`] (one
-//! path), [`crate::lockstep::track_lockstep`] (shared front),
-//! [`crate::queue::track_queue`] (refilling slot front),
+//! path, the scalar reference), [`crate::queue::track_queue`]
+//! (refilling slot front), [`crate::resident::track_queue_resident`]
+//! (the same front with the corrector fused on the engine),
 //! [`crate::escalate::track_escalating_engine`] (precision retry) —
 //! each with its own signature, slot sizing and result type. This
 //! module puts one surface over all of them:
 //!
 //! * [`SolveRequest`] — *what* to solve: the target system, the start
 //!   system and start points, the tolerances, a
-//!   [`PrecisionPolicy`] (fixed precision or escalate-on-failure) and
-//!   a [`SchedulerKind`];
-//! * [`Scheduler`] — the object-safe trait the existing drivers now
-//!   implement ([`PerPathScheduler`], [`LockstepScheduler`],
-//!   [`QueueScheduler`]); schedulers are *performance* choices — the
-//!   per-path and queue schedulers produce bit-identical endpoints;
+//!   [`PrecisionPolicy`] (fixed precision or escalate-on-failure), a
+//!   [`SchedulerKind`] (the queue's slot policy) and a corrector mode;
 //! * [`Solver`] — *where* to solve: it owns an engine spec
 //!   ([`EngineBuilder`]) and provisions engines per precision on
-//!   demand, so precision escalation re-enters the same scheduler at
+//!   demand, so precision escalation re-enters the same queue at
 //!   higher precision on the same backend instead of being a separate
-//!   driver;
+//!   driver. Every pass runs [`track_front`], the one queue driver the
+//!   serve layer calls too;
 //! * [`SolveReport`] — one result shape for every combination: a
 //!   [`PathReport`] per path (verdict, endpoint, target residual,
-//!   precision used), the scheduler's [`QueueStats`] (occupancy,
-//!   refills, round trips), the engine's modeled [`PipelineStats`] and
+//!   precision used), the queue's [`QueueStats`] (occupancy, refills,
+//!   round trips), the engine's modeled [`PipelineStats`] and
 //!   [`EngineCaps`], and the escalation accounting.
 //!
-//! Scheduling and backend placement are never numerical decisions: for
-//! the same request, the per-path and queue schedulers return
-//! bit-identical endpoints on every backend reachable from the spec.
+//! Slot counts, corrector modes and backend placement are never
+//! numerical decisions: for the same request, every slot policy and
+//! both corrector modes return endpoints bit-identical to
+//! [`crate::tracker::track`] on every backend reachable from the spec.
 //!
 //! ```
 //! use polygpu_homotopy::solve::{SolveRequest, Solver};
@@ -45,15 +44,10 @@
 
 use crate::escalate::UsedPrecision;
 use crate::fallible::FaultReport;
-use crate::homotopy::{random_gamma, Homotopy};
-use crate::lockstep::{
-    track_lockstep_recovering_traced, track_lockstep_recovering_traced_with, BatchHomotopy,
-    LockstepPath,
-};
-use crate::queue::{track_queue_recovering_traced, QueueStats, SlotPolicy};
-use crate::resident::{correct_resident, status_to_newton, track_queue_resident, track_resident};
+use crate::homotopy::{random_gamma, BatchHomotopy, PathEnd};
+use crate::queue::{track_front, QueueStats, SlotPolicy};
 use crate::start::{AnyStart, StartSystem};
-use crate::tracker::{track, TrackOutcome, TrackParams};
+use crate::tracker::{TrackOutcome, TrackParams};
 use polygpu_complex::{Complex, Real};
 use polygpu_core::engine::{
     AnyEvaluator, Backend, BuildError, ClusterProvider, Engine, EngineBuilder, EngineCaps,
@@ -71,290 +65,38 @@ use std::fmt;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
-// The scheduler trait and the three built-in schedulers
+// The scheduler
 // ---------------------------------------------------------------------
 
-/// The homotopy every scheduler runs over: an analytic start system
+/// The homotopy every solve runs over: an analytic start system
 /// ([`AnyStart`] — total-degree or one mixed cell's binomial system)
 /// against a boxed engine from the [`Solver`]'s spec.
 pub type EngineHomotopy<R> = BatchHomotopy<R, AnyStart, Box<dyn AnyEvaluator<R>>>;
 
-/// What a scheduler hands back: per-path endpoints in start order plus
-/// its aggregate scheduling statistics.
-#[derive(Debug, Clone)]
-pub struct SchedulerRun<R> {
-    /// Per-path endpoints, in start order.
-    pub paths: Vec<LockstepPath<R>>,
-    /// Rounds, round trips, occupancy numerators, step counts.
-    pub stats: QueueStats,
-    /// Faults seen and recovery work done at the scheduler level
-    /// (`engine` is filled in by the solve layer after the run).
-    pub fault: FaultReport,
-}
-
-/// An object-safe multi-path scheduling strategy: how the front of
-/// live paths is formed and fed to the engine each round. The three
-/// built-ins wrap the original drivers; implement this trait to plug a
-/// custom strategy into the same [`EngineHomotopy`] (build one with
-/// [`Solver::homotopy`]).
-///
-/// Scheduling is a performance decision only — [`PerPathScheduler`]
-/// and [`QueueScheduler`] produce **bit-identical** endpoints for the
-/// same request (the lockstep front shares its step size across paths,
-/// so its trajectories legitimately differ once paths diverge in
-/// difficulty).
-pub trait Scheduler<R: Real> {
-    /// Short stable name for reports and tables.
-    fn name(&self) -> &'static str;
-
-    /// Track every start through `h`, one endpoint per start, in
-    /// order. `caps` describes the engine in `h` (for slot sizing);
-    /// `recovery` governs round-level retry when the engine injects
-    /// faults. A fault that outlives recovery comes back as
-    /// [`SolveError::Fault`] — schedulers never panic on one.
-    ///
-    /// `trace` is the solve layer's span sink on [`Track::Scheduler`]:
-    /// emit one [`SpanKind::Round`] span per scheduling round on the
-    /// modeled clock (the built-ins do). A disabled sink must leave the
-    /// run bit-identical — spans never feed back into scheduling.
-    fn run(
-        &mut self,
-        h: &mut EngineHomotopy<R>,
-        starts: &[Vec<Complex<R>>],
-        params: &TrackParams,
-        caps: &EngineCaps,
-        recovery: &RecoveryPolicy,
-        trace: &TraceSink,
-    ) -> Result<SchedulerRun<R>, SolveError>;
-}
-
-/// [`crate::tracker::track`] behind the [`Scheduler`] trait: one path
-/// at a time, one single-point evaluation per predictor or corrector
-/// step — the reference the batched schedulers are checked against.
-///
-/// This scheduler drives the *infallible* single-point path and does
-/// no fault recovery of its own: run it against fault-free engines
-/// (its purpose is the bit-exact reference); chaos testing belongs to
-/// the lockstep and queue schedulers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PerPathScheduler;
-
-impl<R: Real> Scheduler<R> for PerPathScheduler {
-    fn name(&self) -> &'static str {
-        "per-path"
-    }
-
-    fn run(
-        &mut self,
-        h: &mut EngineHomotopy<R>,
-        starts: &[Vec<Complex<R>>],
-        params: &TrackParams,
-        _caps: &EngineCaps,
-        recovery: &RecoveryPolicy,
-        trace: &TraceSink,
-    ) -> Result<SchedulerRun<R>, SolveError> {
-        let batches_before = h.f.engine_stats().batches;
-        let mut paths = Vec::with_capacity(starts.len());
-        let mut stats = QueueStats {
-            slots: 1,
-            ..Default::default()
-        };
-        let mut fault = FaultReport::default();
-        for (i, x0) in starts.iter().enumerate() {
-            let wall0 = h.f.engine_stats().wall_seconds;
-            // Borrow the shared endpoints per path: same gamma, same
-            // engine, exactly the legacy `track` call — or, in
-            // device-resident mode, the same control flow with the
-            // corrector fused on the engine (bit-identical endpoint,
-            // O(P) flag download per iteration instead of the full
-            // value/Jacobian round trip).
-            let mut r = if params.corrector_mode == CorrectorMode::DeviceResident {
-                let mut rounds = 0usize;
-                track_resident(h, x0, params, &mut rounds, recovery, &mut fault)
-                    .map_err(SolveError::Fault)?
-            } else {
-                let mut h1 = Homotopy::new(&mut h.g, &mut h.f, h.gamma);
-                track(&mut h1, x0, *params)
-            };
-            stats.steps_accepted += r.steps_accepted;
-            stats.steps_rejected += r.steps_rejected;
-            stats.corrector_iterations += r.corrector_iterations;
-            if trace.enabled() {
-                // One "round" per path: this scheduler's unit of work.
-                let wall1 = h.f.engine_stats().wall_seconds;
-                trace.emit(
-                    SpanKind::Round,
-                    wall0,
-                    wall1 - wall0,
-                    2,
-                    &[("path", MetaValue::U64(i as u64))],
-                );
-            }
-            let end = r.points.pop().expect("tracker records the start point");
-            paths.push(LockstepPath {
-                outcome: r.outcome,
-                x: end.x,
-                t: end.t,
-            });
-        }
-        // Every evaluation is its own device round trip here — read
-        // the exact count off the engine instead of re-deriving it.
-        stats.batch_rounds = (h.f.engine_stats().batches - batches_before) as usize;
-        stats.rounds = stats.batch_rounds;
-        stats.point_rounds = stats.batch_rounds;
-        Ok(SchedulerRun {
-            paths,
-            stats,
-            fault,
-        })
-    }
-}
-
-/// [`crate::lockstep::track_lockstep`] behind the [`Scheduler`] trait:
-/// all paths share one `t` front and one step size, every round one
-/// batched evaluation of the live paths.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LockstepScheduler;
-
-impl<R: Real> Scheduler<R> for LockstepScheduler {
-    fn name(&self) -> &'static str {
-        "lockstep"
-    }
-
-    fn run(
-        &mut self,
-        h: &mut EngineHomotopy<R>,
-        starts: &[Vec<Complex<R>>],
-        params: &TrackParams,
-        _caps: &EngineCaps,
-        recovery: &RecoveryPolicy,
-        trace: &TraceSink,
-    ) -> Result<SchedulerRun<R>, SolveError> {
-        let (r, fault) = if params.corrector_mode == CorrectorMode::DeviceResident {
-            // Same front, same step control; each round's corrector is
-            // the engine's fused loop instead of one host round trip
-            // per Newton iteration.
-            let corrector = params.corrector;
-            track_lockstep_recovering_traced_with(
-                h,
-                starts,
-                *params,
-                recovery,
-                trace,
-                &mut |h, pts, t_new, rounds, fault| {
-                    let mut points = pts.to_vec();
-                    let ts = vec![t_new; points.len()];
-                    let statuses =
-                        correct_resident(h, &mut points, &ts, &corrector, rounds, recovery, fault)?;
-                    Ok(points
-                        .into_iter()
-                        .zip(statuses)
-                        .map(|(x, s)| status_to_newton(x, s))
-                        .collect())
-                },
-            )
-        } else {
-            track_lockstep_recovering_traced(h, starts, *params, recovery, trace)
-        }
-        .map_err(SolveError::Fault)?;
-        let stats = r.stats();
-        Ok(SchedulerRun {
-            paths: r.paths,
-            stats,
-            fault,
-        })
-    }
-}
-
-/// [`crate::queue::track_queue`] behind the [`Scheduler`] trait: a
-/// refilling slot front sized by a [`SlotPolicy`].
-/// [`SlotPolicy::Auto`] resolves through [`EngineCaps::auto_slots`] to
+/// How a [`SolveRequest`] schedules its paths: the refilling queue
+/// ([`crate::queue`]) with a [`SlotPolicy`]. [`SlotPolicy::Auto`]
+/// resolves through [`EngineCaps::auto_slots`] to
 /// `devices × per-device capacity`, clamped to the engine's batch
 /// capacity — a point-sharded cluster run keeps every device's batch
 /// full each round, while a row-sharded cluster (whose devices all see
-/// every point) stays at one device's worth.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueueScheduler {
-    pub slots: SlotPolicy,
-}
-
-impl<R: Real> Scheduler<R> for QueueScheduler {
-    fn name(&self) -> &'static str {
-        "queue"
-    }
-
-    fn run(
-        &mut self,
-        h: &mut EngineHomotopy<R>,
-        starts: &[Vec<Complex<R>>],
-        params: &TrackParams,
-        caps: &EngineCaps,
-        recovery: &RecoveryPolicy,
-        trace: &TraceSink,
-    ) -> Result<SchedulerRun<R>, SolveError> {
-        let slots = self.slots.resolve(caps.auto_slots(), starts.len());
-        let (r, fault) = if params.corrector_mode == CorrectorMode::DeviceResident {
-            track_queue_resident(h, starts, *params, slots, recovery, trace)
-        } else {
-            track_queue_recovering_traced(
-                h,
-                starts,
-                *params,
-                SlotPolicy::Fixed(slots),
-                recovery,
-                trace,
-            )
-        }
-        .map_err(SolveError::Fault)?;
-        Ok(SchedulerRun {
-            paths: r.paths,
-            stats: r.stats,
-            fault,
-        })
-    }
-}
-
-/// Which built-in [`Scheduler`] a [`SolveRequest`] runs.
+/// every point) stays at one device's worth. `Fixed(1)` tracks one
+/// path at a time. Every slot policy returns bit-identical endpoints.
+///
+/// ```
+/// use polygpu_homotopy::solve::{SchedulerKind, SolveRequest, Solver};
+/// use polygpu_homotopy::queue::SlotPolicy;
+/// use polygpu_polysys::parse_system;
+///
+/// let target = parse_system::<f64>("x0^3 - 1; x1^3 - 1").unwrap();
+/// let req = SolveRequest::new(target).with_scheduler(SchedulerKind::Queue {
+///     slots: SlotPolicy::Fixed(3),
+/// });
+/// let report = Solver::new().solve(&req).unwrap();
+/// assert!(report.occupancy() > 0.8);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// One path at a time — the bit-exact reference.
-    ///
-    /// ```
-    /// use polygpu_homotopy::solve::{SchedulerKind, SolveRequest, Solver};
-    /// use polygpu_polysys::parse_system;
-    ///
-    /// let target = parse_system::<f64>("x0^2 - 1; x1^2 - 1").unwrap();
-    /// let req = SolveRequest::new(target).with_scheduler(SchedulerKind::PerPath);
-    /// let report = Solver::new().solve(&req).unwrap();
-    /// assert_eq!(report.successes(), 4);
-    /// ```
-    PerPath,
-    /// One shared `t` front, every evaluation batched.
-    ///
-    /// ```
-    /// use polygpu_homotopy::solve::{SchedulerKind, SolveRequest, Solver};
-    /// use polygpu_polysys::parse_system;
-    ///
-    /// let target = parse_system::<f64>("x0^2 - 1; x1^2 - 1").unwrap();
-    /// let req = SolveRequest::new(target).with_scheduler(SchedulerKind::Lockstep);
-    /// let report = Solver::new().solve(&req).unwrap();
-    /// assert!(report.stats.batch_rounds < report.paths.len() * report.stats.rounds);
-    /// ```
-    Lockstep,
     /// A refilling slot front — full batches until the queue drains.
-    ///
-    /// ```
-    /// use polygpu_homotopy::solve::{SchedulerKind, SolveRequest, Solver};
-    /// use polygpu_homotopy::queue::SlotPolicy;
-    /// use polygpu_polysys::parse_system;
-    ///
-    /// let target = parse_system::<f64>("x0^3 - 1; x1^3 - 1").unwrap();
-    /// let req = SolveRequest::new(target).with_scheduler(SchedulerKind::Queue {
-    ///     slots: SlotPolicy::Fixed(3),
-    /// });
-    /// let report = Solver::new().solve(&req).unwrap();
-    /// assert!(report.occupancy() > 0.8);
-    /// ```
     Queue { slots: SlotPolicy },
 }
 
@@ -371,22 +113,7 @@ impl Default for SchedulerKind {
 impl SchedulerKind {
     /// Short stable name for reports and tables.
     pub fn name(&self) -> &'static str {
-        match self {
-            SchedulerKind::PerPath => "per-path",
-            SchedulerKind::Lockstep => "lockstep",
-            SchedulerKind::Queue { .. } => "queue",
-        }
-    }
-
-    /// The built-in scheduler this kind selects, in precision `R` (one
-    /// kind instantiates for every precision, which is how escalation
-    /// re-enters the same scheduler at higher precision).
-    pub fn instantiate<R: Real>(&self) -> Box<dyn Scheduler<R>> {
-        match self {
-            SchedulerKind::PerPath => Box::new(PerPathScheduler),
-            SchedulerKind::Lockstep => Box::new(LockstepScheduler),
-            SchedulerKind::Queue { slots } => Box::new(QueueScheduler { slots: *slots }),
-        }
+        "queue"
     }
 }
 
@@ -943,15 +670,12 @@ impl SolveReport {
             })
     }
 
-    /// Modeled end-to-end throughput: paths per modeled engine second,
-    /// both passes included (`0.0` for engines without a device model,
-    /// e.g. the CPU reference).
+    /// Modeled end-to-end throughput: paths per
+    /// [`modeled_wall_seconds`](SolveReport::modeled_wall_seconds),
+    /// recovery backoff and both passes included (`0.0` for engines
+    /// without a device model, e.g. the CPU reference).
     pub fn paths_per_second(&self) -> f64 {
-        let wall = self.engine.wall_clock_seconds()
-            + self
-                .escalation
-                .as_ref()
-                .map_or(0.0, |e| e.engine.wall_clock_seconds());
+        let wall = self.modeled_wall_seconds();
         if wall > 0.0 {
             self.paths.len() as f64 / wall
         } else {
@@ -1106,8 +830,9 @@ impl<P: ClusterProvider> Solver<P> {
     }
 
     /// Build the request's homotopy in precision `R` over a fresh
-    /// engine from this solver's spec — the entry point for custom
-    /// [`Scheduler`] implementations. The gamma is the exactly-widened
+    /// engine from this solver's spec — for driving the queue
+    /// ([`track_front`]) or the scalar tracker by hand against the
+    /// engine a solve would use. The gamma is the exactly-widened
     /// `f64` gamma of `gamma_seed`, so every precision describes the
     /// same paths.
     pub fn homotopy<R: Real>(
@@ -1144,8 +869,8 @@ impl<P: ClusterProvider> Solver<P> {
         Ok(BatchHomotopy::new(start.clone(), engine, gamma))
     }
 
-    /// Provision engines for the request's precision policy, run its
-    /// scheduler over its start points, and collect the uniform
+    /// Provision engines for the request's precision policy, run the
+    /// queue over its start points, and collect the uniform
     /// [`SolveReport`].
     pub fn solve(&self, req: &SolveRequest) -> Result<SolveReport, SolveError> {
         let groups = req.resolve_groups()?;
@@ -1280,8 +1005,9 @@ impl<P: ClusterProvider> Solver<P> {
         Ok(acc.expect("resolve_groups yields at least one group"))
     }
 
-    /// One scheduler pass in precision `R`: fresh engine, fresh
-    /// homotopy over `start`, the request's scheduler. `base` is the
+    /// One queue pass in precision `R`: fresh engine, fresh homotopy
+    /// over `start`, the request's slot policy and corrector mode
+    /// through [`track_front`]. `base` is the
     /// pass's origin on the solve's modeled clock — `0.0` for the
     /// primary pass, the primary pass's wall for the escalation pass —
     /// so every span of a two-pass solve lands on one monotone
@@ -1309,11 +1035,12 @@ impl<P: ClusterProvider> Solver<P> {
             self.homotopy_any(target, start, req.gamma_seed)?
         };
         let caps = h.f.caps();
-        let mut scheduler = req.scheduler.instantiate::<R>();
+        let SchedulerKind::Queue { slots } = req.scheduler;
         let sched_trace = trace.on(Track::Scheduler);
-        let run = scheduler.run(&mut h, starts, &params, &caps, &req.recovery, &sched_trace)?;
+        let (run, mut fault) =
+            track_front(&mut h, starts, params, slots, &req.recovery, &sched_trace)
+                .map_err(SolveError::Fault)?;
         let engine = h.f.engine_stats();
-        let mut fault = run.fault;
         fault.engine = engine.fault;
         // The pass's extent on the modeled clock: engine wall plus the
         // scheduler-level backoff charged between retried rounds.
@@ -1339,7 +1066,7 @@ impl<P: ClusterProvider> Solver<P> {
 /// One precision pass's raw results (possibly merged over several
 /// start-system groups).
 struct Pass<R: Real> {
-    paths: Vec<LockstepPath<R>>,
+    paths: Vec<PathEnd<R>>,
     stats: QueueStats,
     engine: PipelineStats,
     fault: FaultReport,
@@ -1449,7 +1176,7 @@ fn widen(starts: &[Vec<Complex<f64>>]) -> Vec<Vec<Complex<Dd>>> {
 // Residuals are diagnostics, so the naive evaluator (which accepts
 // any square system, uniform or not) is the right checker here.
 
-fn report_f64(target: &System<f64>, paths: Vec<LockstepPath<f64>>) -> Vec<PathReport> {
+fn report_f64(target: &System<f64>, paths: Vec<PathEnd<f64>>) -> Vec<PathReport> {
     let mut check = NaiveEvaluator::new(target.clone());
     paths
         .into_iter()
@@ -1465,10 +1192,7 @@ fn report_f64(target: &System<f64>, paths: Vec<LockstepPath<f64>>) -> Vec<PathRe
 /// [`report_f64`] for the escalating policy: failed paths' reports are
 /// about to be replaced by their double-double retries, so their
 /// residual evaluation would be discarded — leave a placeholder.
-fn report_f64_successes_only(
-    target: &System<f64>,
-    paths: Vec<LockstepPath<f64>>,
-) -> Vec<PathReport> {
+fn report_f64_successes_only(target: &System<f64>, paths: Vec<PathEnd<f64>>) -> Vec<PathReport> {
     let mut check = NaiveEvaluator::new(target.clone());
     paths
         .into_iter()
@@ -1485,7 +1209,7 @@ fn report_f64_successes_only(
         .collect()
 }
 
-fn report_dd(target: &System<Dd>, paths: Vec<LockstepPath<Dd>>) -> Vec<PathReport> {
+fn report_dd(target: &System<Dd>, paths: Vec<PathEnd<Dd>>) -> Vec<PathReport> {
     let mut check = NaiveEvaluator::new(target.clone());
     paths
         .into_iter()
@@ -1502,9 +1226,10 @@ fn report_dd(target: &System<Dd>, paths: Vec<LockstepPath<Dd>>) -> Vec<PathRepor
 mod tests {
     use super::*;
     use crate::escalate::track_escalating_engine;
-    use crate::lockstep::track_lockstep;
+    use crate::homotopy::Homotopy;
     use crate::newton::NewtonParams;
     use crate::queue::track_queue;
+    use crate::tracker::{track, TrackResult};
     use polygpu_complex::C64;
     use polygpu_polysys::{
         parse_system, random_sparse_system, random_system, AdEvaluator, BenchmarkParams,
@@ -1536,48 +1261,65 @@ mod tests {
         Solver::from_builder(Engine::builder().backend(Backend::GpuBatch { capacity: 4 }))
     }
 
-    /// `solve()` with the per-path scheduler replays the legacy `track`
-    /// loop bit for bit — endpoints, outcomes, final t, step counts.
-    #[test]
-    fn per_path_solve_matches_legacy_track() {
-        let (sys, start, starts) = fixture(3);
-        let params = TrackParams::default();
-        let report = gpu_solver()
-            .solve(&request(&sys, &start, SchedulerKind::PerPath))
-            .unwrap();
-        assert_eq!(report.paths.len(), 4);
-        let (mut acc, mut rej, mut corr) = (0usize, 0usize, 0usize);
-        for (i, (x0, got)) in starts.iter().zip(&report.paths).enumerate() {
-            let f = AdEvaluator::new(sys.clone()).unwrap();
-            let mut h = Homotopy::with_random_gamma(start.clone(), f, 7);
-            let want = track(&mut h, x0, params);
-            assert_eq!(got.outcome, want.outcome, "path {i}");
-            assert_eq!(got.t, want.end().t, "path {i}");
-            assert_eq!(
-                got.endpoint,
-                PathEndpoint::Double(want.end().x.clone()),
-                "bit-identical endpoint, path {i}"
-            );
-            acc += want.steps_accepted;
-            rej += want.steps_rejected;
-            corr += want.corrector_iterations;
-        }
-        assert_eq!(report.stats.steps_accepted, acc);
-        assert_eq!(report.stats.steps_rejected, rej);
-        assert_eq!(report.stats.corrector_iterations, corr);
-        // Per-path scheduling is one device round trip per evaluation.
-        assert_eq!(report.stats.batch_rounds as u64, report.engine.batches);
-        assert_eq!(report.backend, "gpu-batch");
+    /// One `track` run per start on a CPU homotopy with the request's
+    /// gamma — the scalar reference every solve must replay bit for bit.
+    fn track_reference(
+        sys: &System<f64>,
+        start: &StartSystem,
+        starts: &[Vec<C64>],
+        params: TrackParams,
+    ) -> Vec<TrackResult<f64>> {
+        starts
+            .iter()
+            .map(|x0| {
+                let f = AdEvaluator::new(sys.clone()).unwrap();
+                let mut h = Homotopy::with_random_gamma(start.clone(), f, 7);
+                track(&mut h, x0, params)
+            })
+            .collect()
     }
 
-    /// The queue scheduler (any slot policy) equals the per-path
-    /// scheduler bit for bit, and both equal the legacy `track_queue`.
+    /// A one-slot queue replays the legacy `track` loop bit for bit in
+    /// both corrector modes — endpoints, outcomes, final t, step counts.
     #[test]
-    fn queue_solve_matches_legacy_and_per_path() {
+    fn one_slot_solve_matches_legacy_track() {
         let (sys, start, starts) = fixture(3);
-        let per_path = gpu_solver()
-            .solve(&request(&sys, &start, SchedulerKind::PerPath))
-            .unwrap();
+        let want = track_reference(&sys, &start, &starts, TrackParams::default());
+        let one_slot = SchedulerKind::Queue {
+            slots: SlotPolicy::Fixed(1),
+        };
+        for mode in [CorrectorMode::Host, CorrectorMode::DeviceResident] {
+            let report = gpu_solver()
+                .solve(&request(&sys, &start, one_slot).with_corrector(mode))
+                .unwrap();
+            assert_eq!(report.paths.len(), 4);
+            assert_eq!(report.stats.slots, 1);
+            for (i, (got, w)) in report.paths.iter().zip(&want).enumerate() {
+                assert_eq!(got.outcome, w.outcome, "{mode:?}, path {i}");
+                assert_eq!(got.t, w.end().t, "{mode:?}, path {i}");
+                assert_eq!(
+                    got.endpoint,
+                    PathEndpoint::Double(w.end().x.clone()),
+                    "{mode:?}: bit-identical endpoint, path {i}"
+                );
+            }
+            let sum = |f: fn(&TrackResult<f64>) -> usize| want.iter().map(f).sum::<usize>();
+            assert_eq!(report.stats.steps_accepted, sum(|w| w.steps_accepted));
+            assert_eq!(report.stats.steps_rejected, sum(|w| w.steps_rejected));
+            assert_eq!(
+                report.stats.corrector_iterations,
+                sum(|w| w.corrector_iterations)
+            );
+            assert_eq!(report.backend, "gpu-batch");
+        }
+    }
+
+    /// Every slot policy equals the `track` reference bit for bit, and
+    /// the legacy `track_queue` driver too.
+    #[test]
+    fn queue_solve_matches_legacy_track_and_track_queue() {
+        let (sys, start, starts) = fixture(3);
+        let want = track_reference(&sys, &start, &starts, TrackParams::default());
         let mut legacy_h = BatchHomotopy::with_random_gamma(
             start.clone(),
             AdEvaluator::new(sys.clone()).unwrap(),
@@ -1588,15 +1330,19 @@ mod tests {
             let report = gpu_solver()
                 .solve(&request(&sys, &start, SchedulerKind::Queue { slots }))
                 .unwrap();
-            for (i, (got, want)) in report.paths.iter().zip(&per_path.paths).enumerate() {
-                assert_eq!(got.outcome, want.outcome, "{slots:?}, path {i}");
-                assert_eq!(got.endpoint, want.endpoint, "{slots:?}, path {i}");
-                assert_eq!(got.t, want.t, "{slots:?}, path {i}");
-            }
-            for (i, (got, want)) in report.paths.iter().zip(&legacy.paths).enumerate() {
+            for (i, (got, w)) in report.paths.iter().zip(&want).enumerate() {
+                assert_eq!(got.outcome, w.outcome, "{slots:?}, path {i}");
                 assert_eq!(
                     got.endpoint,
-                    PathEndpoint::Double(want.x.clone()),
+                    PathEndpoint::Double(w.end().x.clone()),
+                    "{slots:?}, path {i}"
+                );
+                assert_eq!(got.t, w.end().t, "{slots:?}, path {i}");
+            }
+            for (i, (got, w)) in report.paths.iter().zip(&legacy.paths).enumerate() {
+                assert_eq!(
+                    got.endpoint,
+                    PathEndpoint::Double(w.x.clone()),
                     "{slots:?} vs legacy track_queue, path {i}"
                 );
             }
@@ -1605,28 +1351,6 @@ mod tests {
                 legacy.stats.corrector_iterations
             );
         }
-    }
-
-    /// The lockstep scheduler equals the legacy `track_lockstep` run
-    /// bit for bit and surfaces its statistics.
-    #[test]
-    fn lockstep_solve_matches_legacy_track_lockstep() {
-        let (sys, start, starts) = fixture(3);
-        let report = gpu_solver()
-            .solve(&request(&sys, &start, SchedulerKind::Lockstep))
-            .unwrap();
-        let mut h = BatchHomotopy::with_random_gamma(
-            start.clone(),
-            AdEvaluator::new(sys.clone()).unwrap(),
-            7,
-        );
-        let want = track_lockstep(&mut h, &starts, TrackParams::default());
-        for (i, (got, w)) in report.paths.iter().zip(&want.paths).enumerate() {
-            assert_eq!(got.outcome, w.outcome, "path {i}");
-            assert_eq!(got.endpoint, PathEndpoint::Double(w.x.clone()), "path {i}");
-        }
-        assert_eq!(report.stats, want.stats());
-        assert!(report.stats.rounds > 0);
     }
 
     /// `SlotPolicy::Auto` resolves the queue front through the
@@ -1661,7 +1385,10 @@ mod tests {
             ..Default::default()
         };
         let builder = Engine::builder().backend(Backend::GpuBatch { capacity: 4 });
-        let req = request(&sys, &start, SchedulerKind::PerPath)
+        let one_slot = SchedulerKind::Queue {
+            slots: SlotPolicy::Fixed(1),
+        };
+        let req = request(&sys, &start, one_slot)
             .with_params(params)
             .with_precision(PrecisionPolicy::Escalating { dd_params: params });
         let report = Solver::from_builder(builder.clone()).solve(&req).unwrap();
@@ -1829,7 +1556,9 @@ mod tests {
 
         let (sys, start, _) = fixture(11);
         for scheduler in [
-            SchedulerKind::Lockstep,
+            SchedulerKind::Queue {
+                slots: SlotPolicy::Fixed(1),
+            },
             SchedulerKind::Queue {
                 slots: SlotPolicy::Auto,
             },
@@ -1862,6 +1591,16 @@ mod tests {
                                 assert!(
                                     report.fault.backoff_seconds > 0.0,
                                     "seed {seed}: retries charge modeled backoff"
+                                );
+                                // Throughput is measured on the same
+                                // clock as the root span, backoff
+                                // included.
+                                let paths = report.paths.len() as f64;
+                                let implied =
+                                    report.paths_per_second() * report.modeled_wall_seconds();
+                                assert!(
+                                    (implied - paths).abs() <= 1e-9 * paths,
+                                    "seed {seed}: paths/s x wall = {implied}, want {paths}"
                                 );
                             }
                         }
@@ -2006,7 +1745,7 @@ mod tests {
     fn empty_solve_report_ratios_are_total() {
         let (sys, start, _) = fixture(3);
         let req =
-            request(&sys, &start, SchedulerKind::PerPath).with_starts(StartSelection::FirstN(0));
+            request(&sys, &start, SchedulerKind::default()).with_starts(StartSelection::FirstN(0));
         let report = gpu_solver().solve(&req).unwrap();
         assert!(report.paths.is_empty());
         assert_eq!(report.paths_per_second(), 0.0);
@@ -2018,7 +1757,7 @@ mod tests {
 
     /// Sparse quadratics under mixed-cell starts: mixed-volume many
     /// paths (strictly fewer than Bézout), same roots, bit-identical
-    /// endpoints across schedulers.
+    /// endpoints across slot policies.
     fn packed_gpu_solver() -> Solver {
         use polygpu_core::EncodingKind;
         Solver::from_builder(
@@ -2029,32 +1768,34 @@ mod tests {
     }
 
     #[test]
-    fn mixed_cells_track_fewer_paths_bit_identical_across_schedulers() {
+    fn mixed_cells_track_fewer_paths_bit_identical_across_slot_policies() {
         let target = parse_system::<f64>("x0*x1 + x0 + 1; x0*x1 + x1 + 2").unwrap();
         let kind = StartKind::MixedCells { lift_seed: 7 };
         let dense = packed_gpu_solver()
             .solve(&SolveRequest::new(target.clone()))
             .unwrap();
-        let per_path = packed_gpu_solver()
+        let one_slot = packed_gpu_solver()
             .solve(
                 &SolveRequest::new(target.clone())
                     .with_start_kind(kind)
-                    .with_scheduler(SchedulerKind::PerPath),
+                    .with_scheduler(SchedulerKind::Queue {
+                        slots: SlotPolicy::Fixed(1),
+                    }),
             )
             .unwrap();
         let queue = packed_gpu_solver()
             .solve(&SolveRequest::new(target.clone()).with_start_kind(kind))
             .unwrap();
         assert_eq!(dense.paths.len(), 4, "Bézout paths");
-        assert_eq!(per_path.paths.len(), 2, "mixed-volume paths");
-        assert_eq!(per_path.successes(), 2);
-        for (i, (a, b)) in per_path.paths.iter().zip(&queue.paths).enumerate() {
+        assert_eq!(one_slot.paths.len(), 2, "mixed-volume paths");
+        assert_eq!(one_slot.successes(), 2);
+        for (i, (a, b)) in one_slot.paths.iter().zip(&queue.paths).enumerate() {
             assert_eq!(a.outcome, b.outcome, "path {i}");
             assert_eq!(a.endpoint, b.endpoint, "bit-identical endpoint, path {i}");
             assert!(a.residual < 1e-8, "path {i} residual {:e}", a.residual);
         }
         // The two mixed-cell roots are among the dense solve's roots.
-        for p in &per_path.paths {
+        for p in &one_slot.paths {
             let x = p.endpoint.to_f64();
             let near = dense.paths.iter().filter(|d| d.success()).any(|d| {
                 d.endpoint

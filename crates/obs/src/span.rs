@@ -21,7 +21,7 @@ pub enum SpanKind {
     Solve,
     /// One precision pass (primary double or dd escalation).
     Pass,
-    /// One scheduler round (queue refill-and-step or lockstep sweep).
+    /// One scheduler round (one batched step of the queue's slots).
     Round,
     /// One engine batch (one set of three kernel launches).
     Batch,

@@ -8,7 +8,7 @@
 //! cargo run --release --example cluster_sharding
 //! ```
 
-use polygpu::homotopy::lockstep::BatchHomotopy;
+use polygpu::homotopy::homotopy::BatchHomotopy;
 use polygpu::homotopy::queue::track_queue;
 use polygpu::prelude::*;
 

@@ -1,6 +1,6 @@
-//! The unified solver: one `SolveRequest`, every scheduler, every
-//! backend, every precision policy — replacing the per-driver snippets
-//! (`track` / `track_lockstep` / `track_queue` /
+//! The unified solver: one `SolveRequest`, every slot policy and
+//! corrector mode, every backend, every precision policy — replacing
+//! the per-driver snippets (`track` / `track_queue` /
 //! `track_escalating_engine`) with one entry point.
 //!
 //! ```text
@@ -24,31 +24,39 @@ fn main() {
         .with_start(StartSystem::uniform(2, 4))
         .with_gamma_seed(11);
 
-    // 1. Same request, three schedulers, one backend: scheduling is a
-    //    performance decision, not a numerical one.
-    println!("## scheduler comparison (batched GPU backend)\n");
+    // 1. Same request, two queue fronts x two corrector modes, one
+    //    backend: slot count and corrector placement are performance
+    //    decisions, not numerical ones.
+    println!("## queue front x corrector mode (batched GPU backend)\n");
     let gpu = Solver::from_builder(Engine::builder().backend(Backend::GpuBatch { capacity: 8 }));
-    for scheduler in [
-        SchedulerKind::PerPath,
-        SchedulerKind::Lockstep,
-        SchedulerKind::Queue {
-            slots: SlotPolicy::Auto,
-        },
-    ] {
-        let report = gpu
-            .solve(&req.clone().with_scheduler(scheduler))
-            .expect("uniform system fits the device");
-        println!(
-            "{:>8}: {:2}/{} paths to t = 1, {:4} device round trips, \
-             occupancy {:.2}, modeled wall {:.1} ms",
-            scheduler.name(),
-            report.successes(),
-            report.paths.len(),
-            report.stats.batch_rounds,
-            report.occupancy(),
-            report.engine.wall_clock_seconds() * 1e3,
-        );
+    let mut endpoints: Vec<Vec<PathEndpoint>> = Vec::new();
+    for slots in [SlotPolicy::Fixed(1), SlotPolicy::Auto] {
+        for mode in [CorrectorMode::Host, CorrectorMode::DeviceResident] {
+            let report = gpu
+                .solve(
+                    &req.clone()
+                        .with_scheduler(SchedulerKind::Queue { slots })
+                        .with_corrector(mode),
+                )
+                .expect("uniform system fits the device");
+            println!(
+                "{:>8} slots, {:>14}: {:2}/{} paths to t = 1, {:4} device round trips, \
+                 occupancy {:.2}, modeled wall {:.1} ms",
+                format!("{slots:?}"),
+                format!("{mode:?}"),
+                report.successes(),
+                report.paths.len(),
+                report.stats.batch_rounds,
+                report.occupancy(),
+                report.modeled_wall_seconds() * 1e3,
+            );
+            endpoints.push(report.paths.iter().map(|p| p.endpoint.clone()).collect());
+        }
     }
+    assert!(
+        endpoints.windows(2).all(|w| w[0] == w[1]),
+        "every front and corrector mode tracks the same endpoints"
+    );
 
     // 2. Same request on a 4-device cluster: SlotPolicy::Auto reads
     //    the front size off EngineCaps (D x per-device capacity).
@@ -74,7 +82,7 @@ fn main() {
 
     // 3. Precision escalation as a policy: an f64-unreachable
     //    tolerance sends every failed path back through the same
-    //    scheduler in double-double, provisioned from the same spec.
+    //    queue in double-double, provisioned from the same spec.
     println!("\n## escalation (residual tolerance 1e-19, below f64 round-off)\n");
     let brutal = TrackParams {
         corrector: NewtonParams {

@@ -26,11 +26,11 @@
 //!
 //! The public surface is the unified solving API: a
 //! [`SolveRequest`](polygpu_homotopy::solve::SolveRequest) (target,
-//! start points, tolerances, precision policy, scheduler) submitted to
-//! a [`Solver`] that owns an engine spec and provisions backends per
-//! precision, returning one
+//! start points, tolerances, precision policy, queue slot policy)
+//! submitted to a [`Solver`] that owns an engine spec and provisions
+//! backends per precision, returning one
 //! [`SolveReport`](polygpu_homotopy::solve::SolveReport) whatever the
-//! scheduler × backend × precision combination. Underneath sits the
+//! slot policy × backend × precision combination. Underneath sits the
 //! [`engine`] API: one [`engine::Engine::builder`] selects the backend
 //! (CPU reference, single-point GPU, batched GPU, or a device
 //! cluster), the precision, and the tuning; every backend implements
@@ -172,8 +172,8 @@ pub mod engine {
 }
 
 /// The unified solving API: one [`Solver::solve`] call covers every
-/// scheduler (per-path / lockstep / queue), backend and precision
-/// policy. This alias fixes the solver's cluster provider to
+/// queue slot policy, corrector mode, backend and precision policy.
+/// This alias fixes the solver's cluster provider to
 /// [`polygpu_cluster::Sharded`], so a solver built from this facade's
 /// [`engine::Engine::builder`] reaches the cluster backend too:
 ///

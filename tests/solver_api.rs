@@ -1,19 +1,15 @@
-//! The solver-API acceptance: one `SolveRequest`, every scheduler ×
-//! backend combination, identical answers.
+//! The solver-API acceptance: one `SolveRequest`, every slot policy ×
+//! corrector mode × backend combination, identical answers.
 //!
-//! * [`PerPath`](SchedulerKind::PerPath) and
-//!   [`Queue`](SchedulerKind::Queue) (any slot policy) are bit-identical
-//!   to each other — and across the CPU-reference, batched-GPU and
-//!   cluster backends — for arbitrary requests.
-//! * [`Lockstep`](SchedulerKind::Lockstep) shares one step size across
-//!   its front, so its multi-path trajectories legitimately differ; its
-//!   guarantee is bit-identity across *backends* for any request, and
-//!   bit-identity to the other schedulers whenever the front is one
-//!   path.
+//! * The queue ([`SchedulerKind::Queue`]) with any slot policy, in
+//!   either [`CorrectorMode`], is bit-identical to direct
+//!   [`track`] calls on a CPU homotopy — across the CPU-reference,
+//!   batched-GPU and cluster backends — for arbitrary requests.
 //! * `SlotPolicy::Auto` sizes the queue front to `D ×` per-device
 //!   capacity through `EngineCaps` and keeps it > 0.8 occupied at
 //!   D ∈ {2, 4}.
 
+use polygpu::homotopy::homotopy::random_gamma;
 use polygpu::prelude::*;
 use proptest::prelude::*;
 
@@ -39,10 +35,9 @@ fn solver_for(backend: Backend, per_device_capacity: usize) -> Solver {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// One request, every scheduler, every backend: the per-path and
-    /// queue schedulers agree bit for bit everywhere; lockstep agrees
-    /// with itself across backends, and with everything else on
-    /// single-path fronts.
+    /// One request, every slot policy, both corrector modes, every
+    /// backend: outcomes, endpoints and final `t` equal the scalar
+    /// tracker's, bit for bit.
     #[test]
     fn solve_endpoints_identical_across_schedulers_and_backends(
         seed in 0u64..1_000,
@@ -53,62 +48,45 @@ proptest! {
         let params = BenchmarkParams { n: 2, m: 2, k: 2, d: d as u16, seed };
         let sys = random_system::<f64>(&params);
         let start = StartSystem::uniform(2, d);
-        let req = SolveRequest::new(sys)
-            .with_start(start)
+        let req = SolveRequest::new(sys.clone())
+            .with_start(start.clone())
             .with_gamma_seed(gamma_seed);
 
-        // Reference: per-path on the CPU reference.
-        let want = solver_for(Backend::CpuReference, 4).solve(&req).unwrap();
-        prop_assert_eq!(want.paths.len(), (d * d) as usize);
+        // Reference: `track`, one path at a time, on a CPU homotopy
+        // with the request's gamma.
+        let want: Vec<TrackResult<f64>> = req
+            .resolve_starts()
+            .unwrap()
+            .iter()
+            .map(|x0| {
+                let f = AdEvaluator::new(sys.clone()).unwrap();
+                let mut h = Homotopy::new(start.clone(), f, random_gamma(gamma_seed));
+                track(&mut h, x0, req.params)
+            })
+            .collect();
+        prop_assert_eq!(want.len(), (d * d) as usize);
 
-        let schedulers = [
-            SchedulerKind::PerPath,
-            SchedulerKind::Queue { slots: SlotPolicy::Auto },
-            SchedulerKind::Queue { slots: SlotPolicy::Fixed(3) },
-        ];
         for backend in backends(devices, 4) {
-            for scheduler in schedulers {
-                let report = solver_for(backend.clone(), 2)
-                    .solve(&req.clone().with_scheduler(scheduler))
-                    .unwrap();
-                for (i, (got, w)) in report.paths.iter().zip(&want.paths).enumerate() {
-                    prop_assert_eq!(&got.outcome, &w.outcome,
-                        "outcome: {:?} on {:?}, path {}", scheduler, backend, i);
-                    prop_assert_eq!(&got.endpoint, &w.endpoint,
-                        "endpoint: {:?} on {:?}, path {}", scheduler, backend, i);
-                    prop_assert_eq!(got.t, w.t,
-                        "final t: {:?} on {:?}, path {}", scheduler, backend, i);
+            for slots in [SlotPolicy::Fixed(1), SlotPolicy::Auto, SlotPolicy::Fixed(3)] {
+                for mode in [CorrectorMode::Host, CorrectorMode::DeviceResident] {
+                    let report = solver_for(backend.clone(), 2)
+                        .solve(
+                            &req.clone()
+                                .with_scheduler(SchedulerKind::Queue { slots })
+                                .with_corrector(mode),
+                        )
+                        .unwrap();
+                    prop_assert_eq!(report.paths.len(), want.len());
+                    for (i, (got, w)) in report.paths.iter().zip(&want).enumerate() {
+                        prop_assert_eq!(&got.outcome, &w.outcome,
+                            "outcome: {:?} {:?} on {:?}, path {}", slots, mode, backend, i);
+                        prop_assert_eq!(&got.endpoint, &PathEndpoint::Double(w.end().x.clone()),
+                            "endpoint: {:?} {:?} on {:?}, path {}", slots, mode, backend, i);
+                        prop_assert_eq!(got.t, w.end().t,
+                            "final t: {:?} {:?} on {:?}, path {}", slots, mode, backend, i);
+                    }
                 }
             }
-        }
-
-        // Lockstep: bit-identical across backends…
-        let ls_want = solver_for(Backend::CpuReference, 4)
-            .solve(&req.clone().with_scheduler(SchedulerKind::Lockstep))
-            .unwrap();
-        for backend in backends(devices, 4) {
-            let report = solver_for(backend.clone(), 2)
-                .solve(&req.clone().with_scheduler(SchedulerKind::Lockstep))
-                .unwrap();
-            for (i, (got, w)) in report.paths.iter().zip(&ls_want.paths).enumerate() {
-                prop_assert_eq!(&got.endpoint, &w.endpoint,
-                    "lockstep endpoint on {:?}, path {}", backend, i);
-            }
-        }
-        // …and identical to the other schedulers when the front is one
-        // path (the shared step size then is the per-path step size).
-        for (i, w) in want.paths.iter().enumerate().take(2) {
-            let single = req
-                .clone()
-                .with_starts(StartSelection::Indices(vec![i as u128]))
-                .with_scheduler(SchedulerKind::Lockstep);
-            let report = solver_for(Backend::GpuBatch { capacity: 4 }, 4)
-                .solve(&single)
-                .unwrap();
-            prop_assert_eq!(&report.paths[0].endpoint, &w.endpoint,
-                "single-path lockstep vs per-path, path {}", i);
-            prop_assert_eq!(&report.paths[0].outcome, &w.outcome,
-                "single-path lockstep vs per-path, path {}", i);
         }
     }
 }

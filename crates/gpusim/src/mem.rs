@@ -12,9 +12,19 @@ pub struct BufferId(pub(crate) usize);
 /// Global device memory: a set of typed buffers, each with a virtual
 /// 256-byte-aligned base address so the coalescing analyzer can reason
 /// about real byte addresses.
+///
+/// A buffer's device footprint is its full allocated length, but its
+/// host backing is only the prefix written so far (all of it once the
+/// host reads the buffer back): elements past it read as zero. So an
+/// engine sized for a large batch but driven with small ones (a
+/// serving fleet's resident systems, each with a capacity-sized
+/// workspace) holds host memory for the work it actually did.
 #[derive(Debug, Clone)]
 pub struct GlobalMem<T> {
+    /// Host backing per buffer: the written prefix.
     buffers: Vec<Vec<T>>,
+    /// Allocated length per buffer, in elements.
+    lens: Vec<usize>,
     bases: Vec<u64>,
     next_base: u64,
 }
@@ -23,6 +33,7 @@ impl<T: DeviceValue> GlobalMem<T> {
     pub fn new() -> Self {
         GlobalMem {
             buffers: Vec::new(),
+            lens: Vec::new(),
             bases: Vec::new(),
             next_base: 0x1000, // device allocations never start at null
         }
@@ -31,7 +42,8 @@ impl<T: DeviceValue> GlobalMem<T> {
     /// Allocate a zero-initialized buffer of `len` elements.
     pub fn alloc(&mut self, len: usize) -> BufferId {
         let id = BufferId(self.buffers.len());
-        self.buffers.push(vec![T::zero(); len]);
+        self.buffers.push(Vec::new());
+        self.lens.push(len);
         self.bases.push(self.next_base);
         let bytes = (len * T::DEVICE_BYTES) as u64;
         self.next_base += (bytes + 255) & !255; // keep bases 256-aligned
@@ -40,20 +52,39 @@ impl<T: DeviceValue> GlobalMem<T> {
 
     /// Host-side write (cudaMemcpy host→device); not traced.
     pub fn host_write(&mut self, id: BufferId, offset: usize, data: &[T]) {
-        self.buffers[id.0][offset..offset + data.len()].copy_from_slice(data);
+        let end = offset + data.len();
+        self.backing_to(id, end)[offset..end].copy_from_slice(data);
     }
 
-    /// Host-side read (device→host); not traced.
-    pub fn host_read(&self, id: BufferId) -> &[T] {
-        &self.buffers[id.0]
+    /// Host-side read (device→host) of the whole buffer; not traced.
+    pub fn host_read(&mut self, id: BufferId) -> &[T] {
+        let len = self.lens[id.0];
+        self.backing_to(id, len)
     }
 
     pub fn len(&self, id: BufferId) -> usize {
-        self.buffers[id.0].len()
+        self.lens[id.0]
     }
 
     pub fn is_empty(&self, id: BufferId) -> bool {
-        self.buffers[id.0].is_empty()
+        self.lens[id.0] == 0
+    }
+
+    /// The host backing of `id`, zero-extended to at least `end`
+    /// elements. Panics past the allocated length, like an indexed
+    /// access to a fully backed buffer would.
+    fn backing_to(&mut self, id: BufferId, end: usize) -> &mut Vec<T> {
+        let len = self.lens[id.0];
+        assert!(
+            end <= len,
+            "global access to element {} of a {len}-element buffer",
+            end - 1
+        );
+        let b = &mut self.buffers[id.0];
+        if b.len() < end {
+            b.resize(end, T::zero());
+        }
+        b
     }
 
     /// Virtual byte address of element `idx` of buffer `id`.
@@ -64,16 +95,30 @@ impl<T: DeviceValue> GlobalMem<T> {
 
     #[inline]
     pub(crate) fn read(&self, id: BufferId, idx: usize) -> T {
-        self.buffers[id.0][idx]
+        match self.buffers[id.0].get(idx) {
+            Some(&v) => v,
+            None => {
+                let len = self.lens[id.0];
+                assert!(
+                    idx < len,
+                    "global access to element {idx} of a {len}-element buffer"
+                );
+                T::zero()
+            }
+        }
     }
 
+    #[inline]
     pub(crate) fn write(&mut self, id: BufferId, idx: usize, v: T) {
-        self.buffers[id.0][idx] = v;
+        match self.buffers[id.0].get_mut(idx) {
+            Some(slot) => *slot = v,
+            None => self.backing_to(id, idx + 1)[idx] = v,
+        }
     }
 
     /// Total allocated bytes (device footprint).
     pub fn allocated_bytes(&self) -> usize {
-        self.buffers.iter().map(|b| b.len() * T::DEVICE_BYTES).sum()
+        self.lens.iter().map(|len| len * T::DEVICE_BYTES).sum()
     }
 }
 
@@ -287,6 +332,44 @@ mod tests {
         assert_eq!(g.host_read(a)[2], C64::from_f64(3.0, 4.0));
         assert_eq!(g.len(a), 4);
         assert_eq!(g.allocated_bytes(), 64);
+    }
+
+    #[test]
+    fn host_backing_is_the_written_prefix() {
+        let mut g = GlobalMem::<C64>::new();
+        let a = g.alloc(1000);
+        let b = g.alloc(8);
+        assert_eq!((g.len(a), g.allocated_bytes()), (1000, 1008 * 16));
+        assert_eq!(g.read(a, 999), C64::zero());
+        g.write(a, 2, C64::from_f64(5.0, 0.0));
+        assert_eq!(g.buffers[a.0].len(), 3, "backed up to the last write");
+        assert_eq!(g.read(a, 2), C64::from_f64(5.0, 0.0));
+        assert_eq!(g.read(a, 3), C64::zero());
+        // Addresses and footprint follow the allocated length.
+        assert_eq!(g.addr(b, 0), g.addr(a, 0) + 16_128);
+        assert_eq!(g.allocated_bytes(), 1008 * 16);
+        // A host read sees the whole buffer.
+        let all = g.host_read(a);
+        assert_eq!(all.len(), 1000);
+        assert_eq!(all[2], C64::from_f64(5.0, 0.0));
+        assert!(all[3..].iter().all(|&v| v == C64::zero()));
+        assert!(g.host_read(b).iter().all(|&v| v == C64::zero()));
+    }
+
+    #[test]
+    #[should_panic(expected = "element 8 of a 8-element buffer")]
+    fn reads_past_the_allocation_panic() {
+        let mut g = GlobalMem::<C64>::new();
+        let a = g.alloc(8);
+        g.read(a, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "element 9 of a 8-element buffer")]
+    fn writes_past_the_allocation_panic() {
+        let mut g = GlobalMem::<C64>::new();
+        let a = g.alloc(8);
+        g.host_write(a, 7, &[C64::zero(); 3]);
     }
 
     #[test]

@@ -8,28 +8,167 @@
 //!
 //! * results are collected **in input order**, so everything downstream
 //!   is deterministic regardless of scheduling;
-//! * work really runs on multiple OS threads (`std::thread::scope`,
-//!   one contiguous chunk per thread) — the simulator's block-level
-//!   parallelism and the multicore quality-up experiment keep their
-//!   meaning;
-//! * `map_init` creates one `init()` value per worker thread and
-//!   threads it through that worker's chunk, like rayon's.
+//! * work really runs on multiple OS threads: one process-wide pool of
+//!   [`current_num_threads`] workers, started on the first parallel
+//!   call and parked on a condition variable between calls, so a
+//!   parallel call costs a wake-up and a hand-back, not a thread spawn
+//!   and join. Each worker maps one contiguous chunk of the items;
+//! * the pool runs **one parallel region at a time**, and the caller
+//!   blocks while the workers run it, doing none of its items (a caller
+//!   that also ran items would touch a third malloc arena and hold its
+//!   memory). A call made from a pool worker, or while another region
+//!   is running, runs inline on its own thread, in order — so nested
+//!   parallel calls never wait on each other;
+//! * `map_init` creates one `init()` value per participating thread and
+//!   threads it through that thread's chunk, like rayon's;
+//! * a panicking item re-panics in the caller with its payload once the
+//!   region has finished, and the pool stays usable.
 //!
 //! Not implemented: work stealing, nested pools, the full
 //! `ParallelIterator` trait zoo. Add methods as call sites need them.
 
+use std::any::Any;
+use std::cell::Cell;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
 
-/// Number of worker threads a parallel call will use.
+/// Number of worker threads a parallel call will use. Read once: on
+/// Linux `available_parallelism` re-reads the cgroup quota files on
+/// every call.
 pub fn current_num_threads() -> usize {
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The commonly-imported surface, mirroring `rayon::prelude`.
 pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
+}
+
+/// One parallel region as the workers see it: worker `w` runs
+/// `job(w)` once.
+type Job<'a> = dyn Fn(usize) + Sync + 'a;
+
+/// What the workers and the caller of the running region share.
+struct State {
+    /// The running region's job. Its true lifetime is the caller's
+    /// stack frame in [`Pool::run`]; see the `SAFETY` note there.
+    job: Option<&'static Job<'static>>,
+    /// Bumped once per region, so a woken worker can tell a new region
+    /// from a spurious wake-up.
+    generation: u64,
+    /// Workers that have not yet finished the running region.
+    pending: usize,
+    /// The first panic payload an item of the running region raised.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+/// The process-wide set of parked workers.
+struct Pool {
+    workers: usize,
+    state: Mutex<State>,
+    /// Signalled when a region is posted.
+    posted: Condvar,
+    /// Signalled when the last worker finishes a region.
+    finished: Condvar,
+}
+
+thread_local! {
+    /// Set on pool workers: their parallel calls run inline.
+    static IS_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+impl Pool {
+    /// The pool, its workers started on first use. They live for the
+    /// rest of the process, parked while no region runs.
+    fn get() -> &'static Pool {
+        static POOL: OnceLock<&'static Pool> = OnceLock::new();
+        POOL.get_or_init(|| {
+            let pool: &'static Pool = Box::leak(Box::new(Pool {
+                workers: current_num_threads(),
+                state: Mutex::new(State {
+                    job: None,
+                    generation: 0,
+                    pending: 0,
+                    panic: None,
+                }),
+                posted: Condvar::new(),
+                finished: Condvar::new(),
+            }));
+            for w in 0..pool.workers {
+                thread::Builder::new()
+                    .name(format!("rayon-shim-{w}"))
+                    .spawn(move || pool.work(w))
+                    .expect("spawning a shim pool worker");
+            }
+            pool
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // Items run outside the lock and their panics are caught, so
+        // the lock is never held across a panic.
+        self.state
+            .lock()
+            .expect("shim pool state is never poisoned")
+    }
+
+    /// Worker `w`'s loop: wait for a region, run its job, report back.
+    fn work(&self, w: usize) {
+        IS_WORKER.with(|c| c.set(true));
+        let mut seen = 0u64;
+        loop {
+            let job = {
+                let mut st = self.lock();
+                while st.generation == seen {
+                    st = self.posted.wait(st).expect("shim pool wait");
+                }
+                seen = st.generation;
+                st.job.expect("a posted region carries its job")
+            };
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| job(w)));
+            let mut st = self.lock();
+            if let Err(payload) = outcome {
+                st.panic.get_or_insert(payload);
+            }
+            st.pending -= 1;
+            if st.pending == 0 {
+                self.finished.notify_one();
+            }
+        }
+    }
+
+    /// Run `job(w)` once on every worker `w` and return when all have
+    /// finished, re-raising an item's panic. Returns `false` without
+    /// running anything when another region holds the pool.
+    fn run(&self, job: &Job<'_>) -> bool {
+        let mut st = self.lock();
+        if st.job.is_some() {
+            return false;
+        }
+        // SAFETY: the `'static` reference never outlives this call:
+        // every worker reads `job` only under the lock after seeing a
+        // new generation, drops its copy before decrementing `pending`,
+        // and this function clears `job` and returns only once
+        // `pending` is zero. Items are caught with `catch_unwind`, and
+        // nothing below can unwind before that wait completes.
+        let job = unsafe { std::mem::transmute::<&Job<'_>, &'static Job<'static>>(job) };
+        st.job = Some(job);
+        st.generation += 1;
+        st.pending = self.workers;
+        self.posted.notify_all();
+        while st.pending > 0 {
+            st = self.finished.wait(st).expect("shim pool wait");
+        }
+        st.job = None;
+        let panic = st.panic.take();
+        drop(st);
+        if let Some(payload) = panic {
+            panic::resume_unwind(payload);
+        }
+        true
+    }
 }
 
 /// An eager "parallel iterator": the items are materialized and each
@@ -81,7 +220,9 @@ impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for Vec<T> {
     }
 }
 
-/// Order-preserving parallel map with one `init()` state per worker.
+/// Order-preserving parallel map with one `init()` state per
+/// participating thread: on the pool when it is free and there is more
+/// than one item, inline on the caller otherwise.
 fn par_map_init<T, S, R, INIT, F>(items: Vec<T>, init: INIT, f: F) -> Vec<R>
 where
     T: Send,
@@ -89,34 +230,44 @@ where
     INIT: Fn() -> S + Sync,
     F: Fn(&mut S, T) -> R + Sync,
 {
-    let len = items.len();
-    let workers = current_num_threads().min(len.max(1));
-    if workers <= 1 || len <= 1 {
+    let inline = |items: Vec<T>| {
         let mut state = init();
-        return items.into_iter().map(|x| f(&mut state, x)).collect();
+        items.into_iter().map(|x| f(&mut state, x)).collect()
+    };
+    let len = items.len();
+    if len <= 1 || current_num_threads() <= 1 || IS_WORKER.with(Cell::get) {
+        return inline(items);
     }
-    let chunk = len.div_ceil(workers);
+    let pool = Pool::get();
+    let chunk = len.div_ceil(pool.workers.min(len));
     let mut source = items.into_iter();
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
+    let mut inputs: Vec<Mutex<Vec<T>>> = Vec::with_capacity(pool.workers);
     while source.len() > 0 {
-        chunks.push(source.by_ref().take(chunk).collect());
+        inputs.push(Mutex::new(source.by_ref().take(chunk).collect()));
     }
-    let mapped: Vec<Vec<R>> = thread::scope(|scope| {
-        let handles: Vec<_> = chunks
+    let outputs: Vec<Mutex<Vec<R>>> = inputs.iter().map(|_| Mutex::new(Vec::new())).collect();
+    let job = |w: usize| {
+        let (Some(input), Some(output)) = (inputs.get(w), outputs.get(w)) else {
+            return;
+        };
+        let input = std::mem::take(&mut *input.lock().expect("no panic while a chunk is locked"));
+        let mut state = init();
+        let mapped = input.into_iter().map(|x| f(&mut state, x)).collect();
+        *output.lock().expect("no panic while a chunk is locked") = mapped;
+    };
+    if pool.run(&job) {
+        return outputs
             .into_iter()
-            .map(|c| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    c.into_iter().map(|x| f(&mut state, x)).collect::<Vec<R>>()
-                })
-            })
+            .flat_map(|o| o.into_inner().expect("no panic while a chunk is locked"))
             .collect();
-        handles
+    }
+    // Another region holds the pool: this call runs inline, in order.
+    inline(
+        inputs
             .into_iter()
-            .map(|h| h.join().expect("shim worker thread panicked"))
-            .collect()
-    });
-    mapped.into_iter().flatten().collect()
+            .flat_map(|i| i.into_inner().expect("no panic while a chunk is locked"))
+            .collect(),
+    )
 }
 
 impl<T: Send> ParIter<T> {
@@ -131,7 +282,7 @@ impl<T: Send> ParIter<T> {
         }
     }
 
-    /// Parallel map with a per-worker mutable state created by `init`.
+    /// Parallel map with a per-thread mutable state created by `init`.
     pub fn map_init<S, R, INIT, F>(self, init: INIT, f: F) -> ParIter<R>
     where
         R: Send,
@@ -158,15 +309,32 @@ impl<T: Send> ParIter<T> {
 mod tests {
     use super::prelude::*;
     use super::*;
+    use std::sync::mpsc;
+    use std::thread::ThreadId;
+
+    /// Serializes the tests: the pool is process-wide, the harness runs
+    /// tests concurrently, and some tests assert which thread ran an
+    /// item.
+    static POOL_STATE: Mutex<()> = Mutex::new(());
+
+    fn exclusive() -> MutexGuard<'static, ()> {
+        POOL_STATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn me() -> ThreadId {
+        thread::current().id()
+    }
 
     #[test]
     fn map_preserves_order() {
+        let _serial = exclusive();
         let out: Vec<u32> = (0u32..1000).into_par_iter().map(|i| i * 2).collect();
         assert_eq!(out, (0u32..1000).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn par_iter_over_slice_and_vec() {
+        let _serial = exclusive();
         let v = vec![1.0f64, 2.0, 3.0];
         let s: f64 = v.par_iter().map(|x| x * x).sum();
         assert_eq!(s, 14.0);
@@ -177,6 +345,7 @@ mod tests {
 
     #[test]
     fn map_init_threads_state_per_worker() {
+        let _serial = exclusive();
         let out: Vec<usize> = vec![1usize; 64]
             .par_iter()
             .map_init(Vec::<usize>::new, |scratch, &x| {
@@ -191,5 +360,145 @@ mod tests {
     #[test]
     fn threads_reported() {
         assert!(current_num_threads() >= 1);
+    }
+
+    #[test]
+    fn nested_par_iter_keeps_input_order() {
+        let _serial = exclusive();
+        let out: Vec<Vec<u64>> = (0u64..9)
+            .into_par_iter()
+            .map(|i| (0u64..17).into_par_iter().map(|j| i * 100 + j).collect())
+            .collect();
+        let want: Vec<Vec<u64>> = (0u64..9)
+            .map(|i| (0u64..17).map(|j| i * 100 + j).collect())
+            .collect();
+        assert_eq!(out, want);
+    }
+
+    #[test]
+    fn concurrent_callers_get_ordered_results() {
+        let _serial = exclusive();
+        let callers: Vec<_> = (0u64..4)
+            .map(|c| {
+                thread::spawn(move || {
+                    for round in 0..50u64 {
+                        let out: Vec<u64> = (0u64..33)
+                            .into_par_iter()
+                            .map(|i| c * 1_000_000 + round * 1000 + i)
+                            .collect();
+                        let want: Vec<u64> = (0u64..33)
+                            .map(|i| c * 1_000_000 + round * 1000 + i)
+                            .collect();
+                        assert_eq!(out, want);
+                    }
+                })
+            })
+            .collect();
+        for h in callers {
+            h.join().expect("caller thread");
+        }
+    }
+
+    #[test]
+    fn caller_that_finds_the_pool_busy_runs_inline() {
+        if current_num_threads() < 2 {
+            return;
+        }
+        let _serial = exclusive();
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (entered_tx, release_rx) = (Mutex::new(entered_tx), Mutex::new(release_rx));
+        thread::scope(|s| {
+            // A region whose first item holds the pool until the
+            // second caller is done.
+            let busy = s.spawn(|| {
+                let first_caller = me();
+                let ran_on: Vec<ThreadId> = (0..2)
+                    .into_par_iter()
+                    .map(|i| {
+                        if i == 0 {
+                            entered_tx.lock().unwrap().send(()).unwrap();
+                            release_rx.lock().unwrap().recv().unwrap();
+                        }
+                        me()
+                    })
+                    .collect();
+                assert!(ran_on.iter().all(|&t| t != first_caller), "pool not used");
+            });
+            entered_rx.recv().unwrap();
+            let second_caller = me();
+            let out: Vec<(usize, ThreadId)> = (0..8).into_par_iter().map(|i| (i, me())).collect();
+            assert_eq!(
+                out.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+                (0..8).collect::<Vec<_>>()
+            );
+            assert!(
+                out.iter().all(|&(_, t)| t == second_caller),
+                "ran off the caller"
+            );
+            release_tx.send(()).unwrap();
+            busy.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn item_panic_reaches_the_caller_and_the_pool_survives() {
+        let _serial = exclusive();
+        let caught = panic::catch_unwind(|| {
+            (0u32..8)
+                .into_par_iter()
+                .map(|i| {
+                    if i == 5 {
+                        panic!("item {i} failed");
+                    }
+                    i
+                })
+                .collect::<Vec<_>>()
+        })
+        .expect_err("the item's panic reaches the caller");
+        let msg = caught
+            .downcast_ref::<String>()
+            .expect("formatted panic payload");
+        assert_eq!(msg, "item 5 failed");
+        let caller = me();
+        let out: Vec<(u32, ThreadId)> = (0u32..8).into_par_iter().map(|i| (i, me())).collect();
+        assert_eq!(
+            out.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            (0..8).collect::<Vec<_>>()
+        );
+        if current_num_threads() >= 2 {
+            assert!(out.iter().all(|&(_, t)| t != caller), "pool not used");
+        }
+    }
+
+    #[test]
+    fn map_init_builds_at_most_one_state_per_thread() {
+        let _serial = exclusive();
+        for len in [1usize, 2, 3, 64] {
+            let inits = Mutex::new(Vec::new());
+            let out: Vec<(usize, usize)> = (0..len)
+                .into_par_iter()
+                .map_init(
+                    || {
+                        inits.lock().unwrap().push(me());
+                        0usize
+                    },
+                    |seen, i| {
+                        *seen += 1;
+                        (i, *seen)
+                    },
+                )
+                .collect();
+            assert_eq!(
+                out.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+                (0..len).collect::<Vec<_>>()
+            );
+            let mut ids = inits.into_inner().unwrap();
+            let states = ids.len();
+            assert!(states >= 1 && states <= current_num_threads().min(len));
+            ids.sort_by_key(|t| format!("{t:?}"));
+            ids.dedup();
+            assert_eq!(ids.len(), states, "two states on one thread");
+        }
     }
 }

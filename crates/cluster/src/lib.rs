@@ -10,11 +10,10 @@
 //!
 //! * each `P`-point batch is split into per-device shards by a
 //!   pluggable, deterministic [`ShardPolicy`];
-//! * shards execute **in parallel** on the host pool (via rayon), each
-//!   device modeling stream-overlapped transfers
-//!   ([`polygpu_core::GpuOptions::overlap_chunks`]); a fan-out whose
-//!   shards each traced fewer than [`INLINE_SHARD_EVENTS`] events in
-//!   their previous batch runs inline instead;
+//! * each device models stream-overlapped transfers
+//!   ([`polygpu_core::GpuOptions::overlap_chunks`]); on the host the
+//!   shards of a batch run one after another, in device order, and the
+//!   launches inside each shard spread their blocks over the host pool;
 //! * results merge back in input order, **bit-for-bit** identical to a
 //!   single-device evaluation of the same batch — sharding, like
 //!   batching, is a performance transformation, never a numerical one;
@@ -64,51 +63,7 @@ use polygpu_core::{
 use polygpu_gpusim::prelude::{DeviceSpec, FaultKind, FaultStats, RecoveryPolicy};
 use polygpu_obs::{MetaValue, MetricsRegistry, SpanKind, TraceSink, Track};
 use polygpu_polysys::{BatchSystemEvaluator, System, SystemEval, SystemEvaluator};
-use rayon::prelude::*;
 use std::fmt;
-
-/// Traced events per shard below which a shard fan-out runs inline, in
-/// shard order, instead of on the host pool: the work is then smaller
-/// than the pool round trip it would save.
-///
-/// It is the ratio of two measurements on a 2-vCPU x86-64 VM:
-///
-/// * a pool round trip costs about 21 µs of process CPU time per
-///   two-shard fan-out: serve-open spent 1.26 s more CPU over its 60,586
-///   row-shard fan-outs with every fan-out on the pool than with every
-///   one inline (a loop of fan-outs over two trivial items reads
-///   10–14 µs, without the cache traffic of real shards);
-/// * the simulator replays a traced event in about 14 ns on one thread
-///   in f64 (`cargo bench -p polygpu-bench --bench simulator`, pinned
-///   to one CPU).
-///
-/// So 21 µs / 14 ns = 1,500 events. The size signal is
-/// [`PipelineStats::traced_events`], which is deterministic, so the
-/// choice never depends on host timing — and both paths give
-/// bit-identical results, statistics and spans.
-pub const INLINE_SHARD_EVENTS: u64 = 1_500;
-
-/// Map `f` over one fan-out's shards, results in shard order. `history`
-/// holds, per shard, the events it traced in its previous batch on
-/// this system (`None` before its first batch): when every shard has
-/// history below [`INLINE_SHARD_EVENTS`] the shards run inline on the
-/// caller, whose launches may then use the pool themselves; otherwise
-/// the shards run on the pool and their launches run inline.
-fn fan_out<T, R, F>(work: Vec<T>, history: impl IntoIterator<Item = Option<u64>>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let small = history
-        .into_iter()
-        .all(|e| e.is_some_and(|e| e < INLINE_SHARD_EVENTS));
-    if small {
-        work.into_iter().map(f).collect()
-    } else {
-        work.into_par_iter().map(f).collect()
-    }
-}
 
 /// Configuration of a [`ShardedBatchEvaluator`].
 #[derive(Debug, Clone)]
@@ -246,9 +201,6 @@ pub struct ShardedBatchEvaluator<R: Real> {
     /// Cluster-level span sink ([`Track::Cluster`]); each device engine
     /// carries its own sink retargeted to its [`Track::Device`].
     trace: TraceSink,
-    /// Events each device traced for its shard of the previous batch
-    /// (`None` until it has run one): the size signal of [`fan_out`].
-    shard_events: Vec<Option<u64>>,
 }
 
 /// What one device reported for its shard in one recovery round.
@@ -265,8 +217,6 @@ struct ShardOutcome<R: Real> {
     /// Modeled device wall-clock delta for this round, detection
     /// latency included.
     wall: f64,
-    /// Events the device traced for this shard.
-    events: u64,
 }
 
 impl<R: Real> ShardedBatchEvaluator<R> {
@@ -322,7 +272,6 @@ impl<R: Real> ShardedBatchEvaluator<R> {
         Ok(ShardedBatchEvaluator {
             stats: ClusterStats::new(devices.len()),
             lost: vec![false; devices.len()],
-            shard_events: vec![None; devices.len()],
             devices,
             weights,
             policy: opts.policy,
@@ -472,8 +421,10 @@ impl<R: Real> ShardedBatchEvaluator<R> {
             let shards = plan(self.policy, todo.len(), &live_weights);
             // Translate planner output (indices into `todo`) back to
             // original point indices and hand each live device its
-            // shard; `fan_out` returns outcomes in device order, so
-            // merging below is deterministic.
+            // shard. Shards run one after another in device order; the
+            // launches inside each one use the host pool, which pays
+            // off where a two-way fan-out of shards that trace a few
+            // thousand events each would not.
             let mut want: Vec<Option<Shard>> = (0..ndev).map(|_| None).collect();
             for (&d, s) in live.iter().zip(shards) {
                 if !s.is_empty() {
@@ -486,61 +437,61 @@ impl<R: Real> ShardedBatchEvaluator<R> {
                 .enumerate()
                 .filter_map(|(d, dev)| want[d].take().map(|s| (d, dev, s)))
                 .collect();
-            let history: Vec<Option<u64>> =
-                work.iter().map(|(d, _, _)| self.shard_events[*d]).collect();
-            let outcomes: Vec<ShardOutcome<R>> = fan_out(work, history, |(d, dev, shard)| {
-                let before = dev.stats();
-                let cap = dev.capacity().max(1);
-                let mut out = Vec::with_capacity(shard.len());
-                let mut err = None;
-                let mut retries = 0u64;
-                let mut backoff = 0.0f64;
-                // A shard larger than the device capacity evaluates
-                // in capacity-sized chunks (several round trips);
-                // a faulted chunk retries in place with exponential
-                // backoff, so completed chunks never re-run.
-                'chunks: for chunk in shard.chunks(cap) {
-                    let pts: Vec<Vec<Complex<R>>> =
-                        chunk.iter().map(|&i| points[i].clone()).collect();
-                    let mut attempt = 0u32;
-                    loop {
-                        match dev.try_evaluate_batch(&pts) {
-                            Ok(evals) => {
-                                out.extend(evals);
-                                break;
-                            }
-                            Err(BatchError::Fault(fe)) => {
-                                // A lost device stays lost: retries
-                                // would only burn modeled time.
-                                if fe.kind == FaultKind::DeviceLost
-                                    || attempt >= recovery.max_retries
-                                {
-                                    err = Some(BatchError::Fault(fe));
+            let outcomes: Vec<ShardOutcome<R>> = work
+                .into_iter()
+                .map(|(d, dev, shard)| {
+                    let wall_before = dev.stats().wall_seconds;
+                    let cap = dev.capacity().max(1);
+                    let mut out = Vec::with_capacity(shard.len());
+                    let mut err = None;
+                    let mut retries = 0u64;
+                    let mut backoff = 0.0f64;
+                    // A shard larger than the device capacity evaluates
+                    // in capacity-sized chunks (several round trips);
+                    // a faulted chunk retries in place with exponential
+                    // backoff, so completed chunks never re-run.
+                    'chunks: for chunk in shard.chunks(cap) {
+                        let pts: Vec<Vec<Complex<R>>> =
+                            chunk.iter().map(|&i| points[i].clone()).collect();
+                        let mut attempt = 0u32;
+                        loop {
+                            match dev.try_evaluate_batch(&pts) {
+                                Ok(evals) => {
+                                    out.extend(evals);
+                                    break;
+                                }
+                                Err(BatchError::Fault(fe)) => {
+                                    // A lost device stays lost: retries
+                                    // would only burn modeled time.
+                                    if fe.kind == FaultKind::DeviceLost
+                                        || attempt >= recovery.max_retries
+                                    {
+                                        err = Some(BatchError::Fault(fe));
+                                        break 'chunks;
+                                    }
+                                    backoff += recovery.backoff_seconds(attempt);
+                                    attempt += 1;
+                                    retries += 1;
+                                }
+                                Err(e) => {
+                                    err = Some(e);
                                     break 'chunks;
                                 }
-                                backoff += recovery.backoff_seconds(attempt);
-                                attempt += 1;
-                                retries += 1;
-                            }
-                            Err(e) => {
-                                err = Some(e);
-                                break 'chunks;
                             }
                         }
                     }
-                }
-                let after = dev.stats();
-                ShardOutcome {
-                    device: d,
-                    indices: shard,
-                    done: out,
-                    err,
-                    retries,
-                    backoff,
-                    wall: after.wall_seconds - before.wall_seconds,
-                    events: after.traced_events - before.traced_events,
-                }
-            });
+                    let wall = dev.stats().wall_seconds - wall_before;
+                    ShardOutcome {
+                        device: d,
+                        indices: shard,
+                        done: out,
+                        err,
+                        retries,
+                        backoff,
+                        wall,
+                    }
+                })
+                .collect();
 
             // Merge device results back into input order (each outcome
             // carries its own shard, so merging cannot drift from the
@@ -549,7 +500,6 @@ impl<R: Real> ShardedBatchEvaluator<R> {
             todo.clear();
             let mut round_wall = 0.0f64;
             for o in outcomes {
-                self.shard_events[o.device] = Some(o.events);
                 let completed = o.done.len();
                 let shard_points = o.indices.len();
                 for (&i, e) in o.indices.iter().zip(o.done) {
@@ -915,7 +865,6 @@ impl<R: Real> AnyEvaluator<R> for ShardedBatchEvaluator<R> {
         for d in &self.devices {
             let s = d.stats();
             agg.counters += s.counters;
-            agg.traced_events += s.traced_events;
             agg.kernel_seconds += s.kernel_seconds;
             agg.overhead_seconds += s.overhead_seconds;
             agg.transfer_seconds += s.transfer_seconds;
@@ -1022,9 +971,9 @@ mod tests {
     use polygpu_core::BatchGpuEvaluator;
     use polygpu_polysys::{random_points, random_system, BenchmarkParams};
 
-    // The parallel shard execution moves `&mut` device engines across
-    // threads; assert the bound explicitly so a regression fails here
-    // and not in a confusing rayon-shim error.
+    // A fleet stays `Send`, so a caller can move it to another thread;
+    // assert the bound explicitly so a regression fails here and not
+    // at a distant spawn site.
     fn _assert_send<T: Send>() {}
     #[allow(dead_code)]
     fn _cluster_types_are_send() {

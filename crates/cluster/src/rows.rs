@@ -28,7 +28,6 @@
 //! parallel command-queue round trip instead of `D` re-encodes.
 
 use crate::device::{CpuFallback, DeviceEngine};
-use crate::fan_out;
 use polygpu_complex::{Complex, Real};
 use polygpu_core::engine::{
     AnyEvaluator, BuildError, ClusterSpec, EngineCaps, ResidencyRow, SessionAmortization,
@@ -202,9 +201,6 @@ struct RowShard<R: Real> {
     /// failover re-plans so each physical device retains its own fault
     /// schedule.
     device_index: usize,
-    /// Events this shard traced in the previous batch (`None` until it
-    /// has run one): the size signal of the inline fan-out cut-off.
-    last_events: Option<u64>,
 }
 
 /// [`BatchSystemEvaluator`] over `D` devices, each evaluating its own
@@ -276,7 +272,6 @@ impl<R: Real> RowShardedEvaluator<R> {
                 engine,
                 rows,
                 device_index,
-                last_events: None,
             });
         }
         Ok(RowShardedEvaluator {
@@ -324,7 +319,6 @@ impl<R: Real> RowShardedEvaluator<R> {
                 engine: DeviceEngine::Dense(engine),
                 rows,
                 device_index,
-                last_events: None,
             })
             .collect();
         RowShardedEvaluator {
@@ -464,7 +458,6 @@ impl<R: Real> RowShardedEvaluator<R> {
                 engine,
                 rows,
                 device_index,
-                last_events: None,
             });
         }
         // The rebuild replaces every engine (and drops the failed
@@ -530,47 +523,50 @@ impl<R: Real> RowShardedEvaluator<R> {
         // current round's start).
         let wall0 = self.stats.wall_seconds;
         loop {
-            // Every shard runs the full point batch, concurrently on the
-            // host pool or inline when the shards are small (`fan_out`
-            // returns outcomes in shard order either way, so merging
-            // below is deterministic); a faulted shard retries in place
-            // with exponential backoff before it is declared failed.
+            // Every shard runs the full point batch, one shard after
+            // another in shard order (each shard's launches use the host
+            // pool), so merging below is deterministic; a faulted shard
+            // retries in place with exponential backoff before it is
+            // declared failed.
             struct Outcome<R: Real> {
                 result: Result<Vec<SystemEval<R>>, BatchError>,
                 retries: u64,
                 backoff: f64,
                 wall: f64,
             }
-            let history: Vec<Option<u64>> = self.shards.iter().map(|s| s.last_events).collect();
-            let work: Vec<&mut RowShard<R>> = self.shards.iter_mut().collect();
-            let outcomes: Vec<Outcome<R>> = fan_out(work, history, |s| {
-                let before = s.engine.stats();
-                let mut retries = 0u64;
-                let mut backoff = 0.0f64;
-                let mut attempt = 0u32;
-                let result = loop {
-                    match s.engine.try_evaluate_batch(points) {
-                        Ok(evals) => break Ok(evals),
-                        Err(BatchError::Fault(fe)) => {
-                            if fe.kind == FaultKind::DeviceLost || attempt >= recovery.max_retries {
-                                break Err(BatchError::Fault(fe));
+            let outcomes: Vec<Outcome<R>> = self
+                .shards
+                .iter_mut()
+                .map(|s| {
+                    let wall_before = s.engine.stats().wall_seconds;
+                    let mut retries = 0u64;
+                    let mut backoff = 0.0f64;
+                    let mut attempt = 0u32;
+                    let result = loop {
+                        match s.engine.try_evaluate_batch(points) {
+                            Ok(evals) => break Ok(evals),
+                            Err(BatchError::Fault(fe)) => {
+                                if fe.kind == FaultKind::DeviceLost
+                                    || attempt >= recovery.max_retries
+                                {
+                                    break Err(BatchError::Fault(fe));
+                                }
+                                backoff += recovery.backoff_seconds(attempt);
+                                attempt += 1;
+                                retries += 1;
                             }
-                            backoff += recovery.backoff_seconds(attempt);
-                            attempt += 1;
-                            retries += 1;
+                            Err(e) => break Err(e),
                         }
-                        Err(e) => break Err(e),
+                    };
+                    let wall = s.engine.stats().wall_seconds - wall_before;
+                    Outcome {
+                        result,
+                        retries,
+                        backoff,
+                        wall,
                     }
-                };
-                let after = s.engine.stats();
-                s.last_events = Some(after.traced_events - before.traced_events);
-                Outcome {
-                    result,
-                    retries,
-                    backoff,
-                    wall: after.wall_seconds - before.wall_seconds,
-                }
-            });
+                })
+                .collect();
 
             let mut round_wall = 0.0f64;
             let mut keep = vec![true; self.shards.len()];
@@ -768,7 +764,6 @@ impl<R: Real> AnyEvaluator<R> for RowShardedEvaluator<R> {
         for s in &self.shards {
             let d = s.engine.stats();
             agg.counters += d.counters;
-            agg.traced_events += d.traced_events;
             agg.kernel_seconds += d.kernel_seconds;
             agg.overhead_seconds += d.overhead_seconds;
             agg.transfer_seconds += d.transfer_seconds;

@@ -439,7 +439,6 @@ impl<R: Real> BatchGpuEvaluator<R> {
         let mut kernel_total = 0.0;
         for r in &self.last_reports {
             self.stats.counters += r.counters;
-            self.stats.traced_events += r.traced_events;
             kernel_total += r.timing.kernel_seconds;
         }
         self.stats.kernel_seconds += kernel_total;
@@ -734,7 +733,6 @@ impl<R: Real> BatchGpuEvaluator<R> {
         let mut kernel_total = 0.0;
         for r in &self.last_reports {
             self.stats.counters += r.counters;
-            self.stats.traced_events += r.traced_events;
             kernel_total += r.timing.kernel_seconds;
         }
         self.stats.kernel_seconds += kernel_total;

@@ -126,11 +126,6 @@ pub struct PipelineStats {
     pub batches: u64,
     /// Counters summed over all launches.
     pub counters: Counters,
-    /// Trace entries the simulator replayed, summed over every launch's
-    /// [`LaunchReport::traced_events`]: the deterministic size of the
-    /// host work behind `counters` (analytic LU and back-substitution
-    /// charges trace nothing).
-    pub traced_events: u64,
     /// Modeled kernel execution seconds.
     pub kernel_seconds: f64,
     /// Modeled launch overhead seconds.
@@ -550,7 +545,6 @@ impl<R: Real> GpuEvaluator<R> {
         self.last_reports.push(r3);
         for r in &self.last_reports {
             self.stats.counters += r.counters;
-            self.stats.traced_events += r.traced_events;
             self.stats.kernel_seconds += r.timing.kernel_seconds;
             self.stats.overhead_seconds += r.timing.overhead_seconds;
             // Single-point round trips have nothing to overlap with:

@@ -312,7 +312,6 @@ impl<R: Real> SparseBatchGpuEvaluator<R> {
         let mut kernel_total = 0.0;
         for r in &self.last_reports {
             self.stats.counters += r.counters;
-            self.stats.traced_events += r.traced_events;
             kernel_total += r.timing.kernel_seconds;
         }
         self.stats.kernel_seconds += kernel_total;
@@ -505,7 +504,6 @@ impl<R: Real> SparseBatchGpuEvaluator<R> {
         let mut kernel_total = 0.0;
         for r in &self.last_reports {
             self.stats.counters += r.counters;
-            self.stats.traced_events += r.traced_events;
             kernel_total += r.timing.kernel_seconds;
         }
         self.stats.kernel_seconds += kernel_total;

@@ -55,8 +55,8 @@ pub struct LaunchOptions {
     pub check_write_conflicts: bool,
     /// Run blocks on the host thread pool (rayon). Disable for strictly
     /// serial debugging. A one-block launch, or one started while the
-    /// pool is busy or from a pool worker (a cluster shard running on
-    /// the pool), runs its blocks inline either way.
+    /// pool is busy (another thread's launch holds it) or from a pool
+    /// worker, runs its blocks inline either way.
     pub parallel_host: bool,
 }
 

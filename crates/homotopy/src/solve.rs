@@ -1092,7 +1092,6 @@ impl<R: Real> Pass<R> {
         self.engine.evaluations += other.engine.evaluations;
         self.engine.batches += other.engine.batches;
         self.engine.counters += other.engine.counters;
-        self.engine.traced_events += other.engine.traced_events;
         self.engine.kernel_seconds += other.engine.kernel_seconds;
         self.engine.overhead_seconds += other.engine.overhead_seconds;
         self.engine.transfer_seconds += other.engine.transfer_seconds;

@@ -12,7 +12,8 @@
 //!   [`current_num_threads`] workers, started on the first parallel
 //!   call and parked on a condition variable between calls, so a
 //!   parallel call costs a wake-up and a hand-back, not a thread spawn
-//!   and join. Each worker maps one contiguous chunk of the items;
+//!   and join. Each worker maps one contiguous chunk of the items, and
+//!   a region wakes only the workers that have a chunk;
 //! * the pool runs **one parallel region at a time**, and the caller
 //!   blocks while the workers run it, doing none of its items (a caller
 //!   that also ran items would touch a third malloc arena and hold its
@@ -46,8 +47,8 @@ pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
 }
 
-/// One parallel region as the workers see it: worker `w` runs
-/// `job(w)` once.
+/// One parallel region as the workers see it: each taking part worker
+/// `w` runs `job(w)` once.
 type Job<'a> = dyn Fn(usize) + Sync + 'a;
 
 /// What the workers and the caller of the running region share.
@@ -58,7 +59,11 @@ struct State {
     /// Bumped once per region, so a woken worker can tell a new region
     /// from a spurious wake-up.
     generation: u64,
-    /// Workers that have not yet finished the running region.
+    /// Workers `0..active` take part in the latest region; the rest
+    /// stay parked.
+    active: usize,
+    /// Taking part workers that have not yet finished the running
+    /// region.
     pending: usize,
     /// The first panic payload an item of the running region raised.
     panic: Option<Box<dyn Any + Send>>,
@@ -66,10 +71,10 @@ struct State {
 
 /// The process-wide set of parked workers.
 struct Pool {
-    workers: usize,
     state: Mutex<State>,
-    /// Signalled when a region is posted.
-    posted: Condvar,
+    /// One per worker: signalled when a region it takes part in is
+    /// posted.
+    posted: Vec<Condvar>,
     /// Signalled when the last worker finishes a region.
     finished: Condvar,
 }
@@ -85,18 +90,8 @@ impl Pool {
     fn get() -> &'static Pool {
         static POOL: OnceLock<&'static Pool> = OnceLock::new();
         POOL.get_or_init(|| {
-            let pool: &'static Pool = Box::leak(Box::new(Pool {
-                workers: current_num_threads(),
-                state: Mutex::new(State {
-                    job: None,
-                    generation: 0,
-                    pending: 0,
-                    panic: None,
-                }),
-                posted: Condvar::new(),
-                finished: Condvar::new(),
-            }));
-            for w in 0..pool.workers {
+            let pool = Pool::new(current_num_threads());
+            for w in 0..pool.workers() {
                 thread::Builder::new()
                     .name(format!("rayon-shim-{w}"))
                     .spawn(move || pool.work(w))
@@ -104,6 +99,26 @@ impl Pool {
             }
             pool
         })
+    }
+
+    /// A pool with `workers` worker slots and no threads yet: each slot
+    /// `w` is served by a thread running [`Pool::work`]`(w)`.
+    fn new(workers: usize) -> &'static Pool {
+        Box::leak(Box::new(Pool {
+            state: Mutex::new(State {
+                job: None,
+                generation: 0,
+                active: 0,
+                pending: 0,
+                panic: None,
+            }),
+            posted: (0..workers).map(|_| Condvar::new()).collect(),
+            finished: Condvar::new(),
+        }))
+    }
+
+    fn workers(&self) -> usize {
+        self.posted.len()
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
@@ -114,15 +129,16 @@ impl Pool {
             .expect("shim pool state is never poisoned")
     }
 
-    /// Worker `w`'s loop: wait for a region, run its job, report back.
+    /// Worker `w`'s loop: wait for a region it takes part in, run its
+    /// job, report back.
     fn work(&self, w: usize) {
         IS_WORKER.with(|c| c.set(true));
         let mut seen = 0u64;
         loop {
             let job = {
                 let mut st = self.lock();
-                while st.generation == seen {
-                    st = self.posted.wait(st).expect("shim pool wait");
+                while st.generation == seen || w >= st.active {
+                    st = self.posted[w].wait(st).expect("shim pool wait");
                 }
                 seen = st.generation;
                 st.job.expect("a posted region carries its job")
@@ -139,25 +155,31 @@ impl Pool {
         }
     }
 
-    /// Run `job(w)` once on every worker `w` and return when all have
-    /// finished, re-raising an item's panic. Returns `false` without
-    /// running anything when another region holds the pool.
-    fn run(&self, job: &Job<'_>) -> bool {
+    /// Run `job(w)` once on each worker `w < active`, waking only those,
+    /// and return when they have finished, re-raising an item's panic.
+    /// Returns `false` without running anything when another region
+    /// holds the pool.
+    fn run(&self, job: &Job<'_>, active: usize) -> bool {
+        assert!(active <= self.workers(), "more chunks than workers");
         let mut st = self.lock();
         if st.job.is_some() {
             return false;
         }
         // SAFETY: the `'static` reference never outlives this call:
-        // every worker reads `job` only under the lock after seeing a
-        // new generation, drops its copy before decrementing `pending`,
+        // a worker reads `job` only under the lock after seeing a new
+        // generation that it takes part in, drops its copy before
+        // decrementing `pending`,
         // and this function clears `job` and returns only once
         // `pending` is zero. Items are caught with `catch_unwind`, and
         // nothing below can unwind before that wait completes.
         let job = unsafe { std::mem::transmute::<&Job<'_>, &'static Job<'static>>(job) };
         st.job = Some(job);
         st.generation += 1;
-        st.pending = self.workers;
-        self.posted.notify_all();
+        st.active = active;
+        st.pending = active;
+        for posted in &self.posted[..active] {
+            posted.notify_one();
+        }
         while st.pending > 0 {
             st = self.finished.wait(st).expect("shim pool wait");
         }
@@ -230,43 +252,56 @@ where
     INIT: Fn() -> S + Sync,
     F: Fn(&mut S, T) -> R + Sync,
 {
-    let inline = |items: Vec<T>| {
-        let mut state = init();
-        items.into_iter().map(|x| f(&mut state, x)).collect()
-    };
-    let len = items.len();
-    if len <= 1 || current_num_threads() <= 1 || IS_WORKER.with(Cell::get) {
-        return inline(items);
+    if items.len() <= 1 || current_num_threads() <= 1 || IS_WORKER.with(Cell::get) {
+        return map_inline(items, &init, &f);
     }
-    let pool = Pool::get();
-    let chunk = len.div_ceil(pool.workers.min(len));
+    map_on(Pool::get(), items, init, f)
+}
+
+/// Map every item on the calling thread, with one `init()` state.
+fn map_inline<T, S, R>(items: Vec<T>, init: impl Fn() -> S, f: impl Fn(&mut S, T) -> R) -> Vec<R> {
+    let mut state = init();
+    items.into_iter().map(|x| f(&mut state, x)).collect()
+}
+
+/// Map `items` on `pool`, one contiguous chunk per taking part worker,
+/// or inline when another region holds the pool.
+fn map_on<T, S, R, INIT, F>(pool: &Pool, items: Vec<T>, init: INIT, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    INIT: Fn() -> S + Sync,
+    F: Fn(&mut S, T) -> R + Sync,
+{
+    let len = items.len();
+    let chunk = len.div_ceil(pool.workers().min(len).max(1));
     let mut source = items.into_iter();
-    let mut inputs: Vec<Mutex<Vec<T>>> = Vec::with_capacity(pool.workers);
+    let mut inputs: Vec<Mutex<Vec<T>>> = Vec::with_capacity(pool.workers());
     while source.len() > 0 {
         inputs.push(Mutex::new(source.by_ref().take(chunk).collect()));
     }
     let outputs: Vec<Mutex<Vec<R>>> = inputs.iter().map(|_| Mutex::new(Vec::new())).collect();
     let job = |w: usize| {
-        let (Some(input), Some(output)) = (inputs.get(w), outputs.get(w)) else {
-            return;
-        };
+        let (input, output) = (&inputs[w], &outputs[w]);
         let input = std::mem::take(&mut *input.lock().expect("no panic while a chunk is locked"));
         let mut state = init();
         let mapped = input.into_iter().map(|x| f(&mut state, x)).collect();
         *output.lock().expect("no panic while a chunk is locked") = mapped;
     };
-    if pool.run(&job) {
+    if pool.run(&job, inputs.len()) {
         return outputs
             .into_iter()
             .flat_map(|o| o.into_inner().expect("no panic while a chunk is locked"))
             .collect();
     }
     // Another region holds the pool: this call runs inline, in order.
-    inline(
+    map_inline(
         inputs
             .into_iter()
             .flat_map(|i| i.into_inner().expect("no panic while a chunk is locked"))
             .collect(),
+        init,
+        f,
     )
 }
 
@@ -439,6 +474,28 @@ mod tests {
             release_tx.send(()).unwrap();
             busy.join().unwrap();
         });
+    }
+
+    #[test]
+    fn a_region_waits_only_for_the_workers_that_have_a_chunk() {
+        // Four worker slots, threads for only the first two: a two-item
+        // call must complete on those two and never wait for the rest.
+        let pool = Pool::new(4);
+        for w in 0..2 {
+            thread::spawn(move || pool.work(w));
+        }
+        let (done_tx, done_rx) = mpsc::channel();
+        thread::spawn(move || {
+            let caller = me();
+            let out = map_on(pool, vec![10u32, 20], || (), |(), x| (x, me()));
+            done_tx.send((caller, out)).unwrap();
+        });
+        let (caller, out) = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the region waited for a worker without a chunk");
+        assert_eq!(out.iter().map(|&(x, _)| x).collect::<Vec<_>>(), [10, 20]);
+        assert!(out[0].1 != out[1].1, "one chunk per worker");
+        assert!(out.iter().all(|&(_, t)| t != caller), "pool not used");
     }
 
     #[test]
